@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import __version__
@@ -28,10 +27,9 @@ from .codes import (
     LinearCode,
     code_to_distribution,
     generator_json,
-    min_distance,
     rs_generator,
 )
-from .dist import JointDistribution, load, to_csv, to_json_dict
+from .dist import load, to_csv, to_json_dict
 from .errors import SearchBudgetExceeded, ToolError
 from .explore import ScanConfig, emit_scatter, grid_count, local_search_max
 from .gf import emit_tables, field_json, is_prime_power, make_field
@@ -50,19 +48,6 @@ LARGE_GRID_WARN = 10**6
 MAXIMIZER_FIELD_CAP = 64
 
 
-def worker_cap() -> int:
-    """COHESION_THREADS caps worker counts; evaluation here is vectorized
-    in-process, so the value is validated and echoed into metadata."""
-    raw = os.environ.get("COHESION_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ToolError(f"COHESION_THREADS={raw!r} is not an integer") from exc
-    if cap < 1:
-        raise ToolError("COHESION_THREADS must be >= 1")
-    return cap
-
-
 def _emit(payload: dict, as_json: bool, text_lines) -> None:
     if as_json:
         print(json.dumps(payload, indent=2))
@@ -77,9 +62,8 @@ def _emit(payload: dict, as_json: bool, text_lines) -> None:
 
 def cmd_cohesion(args) -> int:
     p = load(args.file)
-    report = profile_report(p, args.base)
-    bits = math.log(p.q) / math.log(2.0)
     prof = cohesion_profile(p)
+    bits = math.log(p.q) / math.log(2.0)
     lines = [f"n={p.n} q={p.q} atoms={p.support_size}"]
     for k in range(1, p.n):
         v = prof.value(k)
@@ -88,12 +72,10 @@ def cmd_cohesion(args) -> int:
             f"C{k} = {v:.9g} (base {p.q}) = {v * bits:.9g} bits"
             f"   bound {bd:g} (base {p.q}) = {bd * bits:g} bits"
         )
-    for chk in check_polymatroid_bounds(prof):
+    quad = check_quad_inequalities(prof) if p.n == 4 else []
+    for chk in check_polymatroid_bounds(prof) + quad:
         lines.append(f"{chk.name}: slack {chk.slack:.3g} {'ok' if chk.satisfied else 'VIOLATED'}")
-    if p.n == 4:
-        for chk in check_quad_inequalities(p):
-            lines.append(f"{chk.name}: slack {chk.slack:.3g} {'ok' if chk.satisfied else 'VIOLATED'}")
-    _emit(report, args.json, lines)
+    _emit(profile_report(prof, args.base), args.json, lines)
     return 0
 
 
@@ -175,7 +157,6 @@ def cmd_scan(args) -> int:
         seed=args.seed,
         measures=measures,
     )
-    threads = worker_cap()
     if args.mode == "grid":
         points = grid_count(cfg.resolution, cfg.dims)
         if points > LARGE_GRID_WARN and not args.allow_large:
@@ -191,7 +172,7 @@ def cmd_scan(args) -> int:
             "restarts": result.restarts,
             "evaluations": result.evaluations,
             "seed": result.seed,
-            "threads": threads,
+            "threads": 1,
             "distribution": to_json_dict(result.distribution),
         }
         lines = [
@@ -211,7 +192,7 @@ def cmd_scan(args) -> int:
     if not args.out:
         raise ToolError("grid/random scans require --out DIR")
     summary = emit_scatter(cfg, args.out)
-    summary["threads"] = threads
+    summary["threads"] = 1
     _emit(summary, args.json,
           [f"scanned {summary['points']} points -> {summary['out']}",
            *(f"max {m} = {v:.9g}" for m, v in summary["maxima"].items())])

@@ -11,21 +11,13 @@ base-q units, plus the three extra inequalities specific to n=4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, replace
 from math import comb
 
-from .dist import JointDistribution, entropy_table, indices_to_mask, subset_entropy
+from .dist import JointDistribution, order_entropies
 from .errors import DistributionError
 
 BOUND_TOL = 1e-9
-
-
-def _base_factor(q: int, base: float | None) -> float:
-    """Multiplier converting base-q units into the requested base."""
-    if base is None or base == q:
-        return 1.0
-    return math.log(q) / math.log(base)
 
 
 def constant_bound(n: int, k: int) -> float:
@@ -39,30 +31,8 @@ def cohesion_k(p: JointDistribution, k: int, base: float | None = None) -> float
     """Cohesion-k of p: sum of k-subset entropies minus C(n-1,k-1) H(X)."""
     if not 1 <= k <= p.n - 1:
         raise DistributionError(f"interaction order k={k} outside 1..{p.n - 1}")
-    total = 0.0
-    for idx in combinations(range(p.n), k):
-        total += subset_entropy(p, indices_to_mask(idx), base)
-    full = (1 << p.n) - 1
-    return total - comb(p.n - 1, k - 1) * subset_entropy(p, full, base)
-
-
-def cohesion_k_conditional_form(
-    p: JointDistribution, k: int, base: float | None = None
-) -> float:
-    """Independent rewriting: C(n-1,k) H(X) - sum over (n-k)-subsets of
-    H(X_B | X_A), with A the complement of B. Used to cross-check
-    `cohesion_k`."""
-    if not 1 <= k <= p.n - 1:
-        raise DistributionError(f"interaction order k={k} outside 1..{p.n - 1}")
-    full = (1 << p.n) - 1
-    h_joint = subset_entropy(p, full, base)
-    total = comb(p.n - 1, k) * h_joint
-    for idx in combinations(range(p.n), p.n - k):
-        b_mask = indices_to_mask(idx)
-        a_mask = full ^ b_mask
-        cond = h_joint - subset_entropy(p, a_mask, base)
-        total -= cond
-    return total
+    h_k, h_joint = order_entropies(p, (k, p.n), base)
+    return float(h_k - comb(p.n - 1, k - 1) * h_joint)
 
 
 @dataclass(frozen=True)
@@ -83,26 +53,24 @@ class CohesionProfile:
     def value(self, k: int) -> float:
         return self.values[k - 1]
 
+    def rebase(self, base: float | None = None) -> "CohesionProfile":
+        """The same profile in another log base (default q)."""
+        b = float(self.q if base is None else base)
+        f = math.log(self.base) / math.log(b)
+        return replace(self, base=b, values=tuple(v * f for v in self.values),
+                       constant_bounds=tuple(v * f for v in self.constant_bounds),
+                       slack=tuple(v * f for v in self.slack))
+
 
 def cohesion_profile(p: JointDistribution, base: float | None = None) -> CohesionProfile:
     """Evaluate every Cohesion order from a single subset-entropy pass."""
     if p.n < 2:
         raise DistributionError("cohesion profile needs at least two variables")
-    b = float(p.q if base is None else base)
-    table = entropy_table(p, b)
-    full = (1 << p.n) - 1
-    h_joint = table[full]
-    sums = [0.0] * (p.n + 1)
-    for mask in range(1, full + 1):
-        sums[mask.bit_count()] += table[mask]
-    factor = _base_factor(p.q, b)
-    values = []
-    bounds = []
-    for k in range(1, p.n):
-        values.append(sums[k] - comb(p.n - 1, k - 1) * h_joint)
-        bounds.append(constant_bound(p.n, k) * factor)
+    sums = order_entropies(p, range(1, p.n + 1))
+    values = tuple(float(sums[k - 1] - comb(p.n - 1, k - 1) * sums[-1]) for k in range(1, p.n))
+    bounds = tuple(constant_bound(p.n, k) for k in range(1, p.n))
     slack = tuple(bd - v for bd, v in zip(bounds, values))
-    return CohesionProfile(p.n, p.q, b, tuple(values), tuple(bounds), slack)
+    return CohesionProfile(p.n, p.q, float(p.q), values, bounds, slack).rebase(base)
 
 
 @dataclass(frozen=True)
@@ -145,15 +113,14 @@ def check_constant_bounds(
     return checks
 
 
-def check_quad_inequalities(
-    p: JointDistribution, tol: float = BOUND_TOL
-) -> list[BoundCheck]:
+def check_quad_inequalities(p, tol: float = BOUND_TOL) -> list[BoundCheck]:
     """The three extra inequalities for exactly four variables, in base-q
-    units: C1 + C3 <= 4, C2 + 3 C1 <= 12, C2 + 3 C3 <= 12."""
+    units: C1 + C3 <= 4, C2 + 3 C1 <= 12, C2 + 3 C3 <= 12. `p` is a
+    distribution or its CohesionProfile."""
     if p.n != 4:
         raise DistributionError(f"quad inequalities require n=4, got n={p.n}")
-    prof = cohesion_profile(p, p.q)
-    c1, c2, c3 = prof.values
+    prof = p if isinstance(p, CohesionProfile) else cohesion_profile(p)
+    c1, c2, c3 = prof.rebase().values
     rows = [
         ("C1 + C3 <= 4", c1 + c3, 4.0),
         ("C2 + 3*C1 <= 12", c2 + 3.0 * c1, 12.0),
@@ -165,10 +132,11 @@ def check_quad_inequalities(
     ]
 
 
-def profile_report(p: JointDistribution, base: float | None = None) -> dict:
+def profile_report(p, base: float | None = None) -> dict:
     """JSON-ready report: values, constant bounds, adjacent-order slack,
-    and (for n=4) the quad-inequality slacks."""
-    prof = cohesion_profile(p, base)
+    and (for n=4) the quad-inequality slacks. `p` is a distribution or
+    its CohesionProfile, which is converted rather than recomputed."""
+    prof = p.rebase(base) if isinstance(p, CohesionProfile) else cohesion_profile(p, base)
     eq1 = check_polymatroid_bounds(prof)
     report = {
         "n": prof.n,
@@ -179,5 +147,5 @@ def profile_report(p: JointDistribution, base: float | None = None) -> dict:
         "eq1_slack": [c.slack for c in eq1],
     }
     if p.n == 4:
-        report["quad_slack"] = [c.slack for c in check_quad_inequalities(p)]
+        report["quad_slack"] = [c.slack for c in check_quad_inequalities(prof)]
     return report

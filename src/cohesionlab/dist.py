@@ -4,6 +4,10 @@ Outcomes are length-n tuples of symbols in 0..q-1, stored sparsely as an
 atom -> mass map. Variable subsets are plain n-bit integer masks (bit i
 selects variable i). Entropies default to base q, the convention used
 throughout the toolkit; pass an explicit base to convert.
+
+Subset entropies H(X_S) come from two reductions here, picked by input
+type (JointDistribution atoms or a dense batch of tables); `marginalize`
+and `entropy` are the simple reference path.
 """
 
 from __future__ import annotations
@@ -12,13 +16,18 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
+from math import comb
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DistributionError
 
 MASS_TOL = 1e-12
 DENSE_BITS_LIMIT = 24
+INCIDENCE_LIMIT = 1 << 16  # entries of the cached marginal matrix
 
 
 def mask_bits(mask: int) -> list[int]:
@@ -124,15 +133,22 @@ def marginalize(p: JointDistribution, mask: int) -> JointDistribution:
     return JointDistribution(len(idx), p.q, out)
 
 
-def entropy(p: JointDistribution, base: float | None = None) -> float:
-    """Shannon entropy; zero-mass atoms contribute nothing (0 log 0 = 0)."""
-    b = p.q if base is None else base
+def _log_base(q: int, base: float | None) -> float:
+    b = q if base is None else base
     if b <= 1:
         raise DistributionError("log base must be > 1")
-    h = 0.0
-    for m in p.atoms.values():
-        h -= m * math.log(m)
-    return h / math.log(b)
+    return math.log(b)
+
+
+def _xlogx(m: np.ndarray) -> np.ndarray:
+    """Elementwise m log m with 0 log 0 = 0."""
+    return m * np.log(np.where(m > 0.0, m, 1.0))
+
+
+def entropy(p: JointDistribution, base: float | None = None) -> float:
+    """Shannon entropy; zero-mass atoms contribute nothing (0 log 0 = 0)."""
+    logb = _log_base(p.q, base)
+    return -sum(m * math.log(m) for m in p.atoms.values()) / logb
 
 
 def subset_entropy(p: JointDistribution, mask: int, base: float | None = None) -> float:
@@ -142,26 +158,105 @@ def subset_entropy(p: JointDistribution, mask: int, base: float | None = None) -
     return entropy(marginalize(p, mask), base)
 
 
+def _sparse_entropies(p: JointDistribution, max_order: int) -> dict:
+    """H in nats of every subset of 1..max_order variables, by mask.
+
+    Depth-first over the subset lattice, holding only the current path: a
+    child's atom keys are its parent's labels in mixed radix with one more
+    variable, relabelled densely by np.unique so they never overflow.
+    """
+    outcomes = np.array(list(p.atoms), dtype=np.int64)
+    masses = np.fromiter(p.atoms.values(), float, len(p.atoms))
+    table = {}
+
+    def walk(mask, labels, start):
+        for i in range(start, p.n):
+            _, child_labels = np.unique(labels * p.q + outcomes[:, i], return_inverse=True)
+            child = mask | 1 << i
+            table[child] = -_xlogx(np.bincount(child_labels, weights=masses)).sum()
+            if child.bit_count() < max_order:
+                walk(child, child_labels, i + 1)
+
+    walk(0, np.zeros(len(masses), dtype=np.int64), 0)
+    return table
+
+
 def entropy_table(p: JointDistribution, base: float | None = None) -> list[float]:
     """All 2^n subset entropies, indexed by subset mask (index 0 -> 0.0)."""
     if p.n > 20:
         raise DistributionError("entropy table limited to n <= 20")
-    b = p.q if base is None else base
-    logb = math.log(b)
-    table = [0.0] * (1 << p.n)
-    items = list(p.atoms.items())
-    for mask in range(1, 1 << p.n):
-        idx = mask_bits(mask)
-        marg: dict = {}
-        for outcome, m in items:
-            key = tuple(outcome[i] for i in idx)
-            marg[key] = marg.get(key, 0.0) + m
-        h = 0.0
-        for m in marg.values():
-            if m > 0.0:
-                h -= m * math.log(m)
-        table[mask] = h / logb
-    return table
+    logb = _log_base(p.q, base)
+    table = _sparse_entropies(p, p.n)
+    return [0.0] + [float(table[mask]) / logb for mask in range(1, 1 << p.n)]
+
+
+@lru_cache(maxsize=16)
+def _incidence(n: int, q: int, orders: tuple):
+    """0/1 matrix taking a flat q^n table to its marginals on every subset
+    of each size in `orders`, concatenated by order; and where each order's
+    columns start."""
+    cells = np.indices((q,) * n).reshape(n, -1)
+    blocks = [np.equal.outer(np.ravel_multi_index(cells[list(idx)], (q,) * k), np.arange(q**k))
+              for k in orders for idx in combinations(range(n), k)]
+    starts = np.cumsum([0] + [comb(n, k) * q**k for k in orders[:-1]])
+    return np.hstack(blocks).astype(float), starts
+
+
+def _sparse_sums(p: JointDistribution, orders: tuple) -> np.ndarray:
+    """Entropy sums (nats) over the subsets of each size in `orders`."""
+    out = dict.fromkeys(range(1, p.n + 1), 0.0)
+    out[p.n] = -_xlogx(np.fromiter(p.atoms.values(), float, len(p.atoms))).sum()
+    lower = [k for k in orders if k < p.n]
+    for mask, h in _sparse_entropies(p, max(lower)).items() if lower else ():
+        out[mask.bit_count()] += h
+    return np.array([out[k] for k in orders])
+
+
+def _dense_sums(cube: np.ndarray, orders: tuple) -> np.ndarray:
+    """Per-row entropy sums (nats) over the subsets of each size in
+    `orders`, for a batch of shape (N, q, ..., q).
+
+    A small incidence matrix gives every marginal in one product. Past
+    INCIDENCE_LIMIT the subset lattice is walked depth-first, each marginal
+    one axis-sum of a parent with one more variable; only the current path
+    is held, under twice the table.
+    """
+    rows, n, q = cube.shape[0], cube.ndim - 1, cube.shape[1]
+    flat = cube.reshape(rows, -1)
+    if q**n * sum(comb(n, k) * q**k for k in orders) <= INCIDENCE_LIMIT:
+        matrix, starts = _incidence(n, q, orders)
+        return -np.add.reduceat(_xlogx(flat @ matrix), starts, axis=1)
+    out = {k: np.zeros(rows) for k in orders}
+    out[n] = -_xlogx(flat).sum(axis=1)
+    lowest = min(orders)
+
+    def walk(table, start):
+        size = table.ndim - 2  # variables left in each child
+        for j in range(start, size + 1):
+            child = table.sum(axis=j + 1)
+            if size in out:
+                out[size] -= _xlogx(child).reshape(rows, -1).sum(axis=1)
+            if size > lowest:
+                walk(child, j)
+
+    walk(cube, 0)
+    return np.stack([out[k] for k in orders], axis=1)
+
+
+def order_entropies(x, orders, base: float | None = None) -> np.ndarray:
+    """Sum of H(X_S) over all subsets S of each size k in `orders`
+    (distinct sizes in 1..n, in any order).
+
+    The input picks the reduction. A JointDistribution is reduced over its
+    atoms and gives shape (len(orders),); a dense batch of shape
+    (N, q, ..., q) with n trailing axes gives shape (N, len(orders)).
+    """
+    orders = tuple(orders)
+    sparse = isinstance(x, JointDistribution)
+    n, q = (x.n, x.q) if sparse else (x.ndim - 1, x.shape[1])
+    if not orders or len(set(orders)) < len(orders) or not all(1 <= k <= n for k in orders):
+        raise DistributionError(f"subset sizes {orders} are not distinct sizes in 1..{n}")
+    return (_sparse_sums if sparse else _dense_sums)(x, orders) / _log_base(q, base)
 
 
 def kl_divergence(

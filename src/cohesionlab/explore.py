@@ -10,14 +10,13 @@ stay cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .cohesion import constant_bound
-from .dist import JointDistribution, from_dense
+from .dist import JointDistribution, from_dense, order_entropies
 from .errors import ScanError
 from .maxent import batch_divergence, ipf_project_batch
 
@@ -115,37 +114,21 @@ def random_sample(cfg: ScanConfig):
 # Vectorized measures over dense batches
 # ---------------------------------------------------------------------------
 
-def _xlogx_entropy(arr: np.ndarray, axis, base: float) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(arr > 0.0, arr * np.log(np.where(arr > 0.0, arr, 1.0)), 0.0)
-    return -terms.sum(axis=axis) / math.log(base)
-
-
 def batch_subset_entropies(P: np.ndarray, n: int, q: int, k: int, base: float) -> np.ndarray:
     """Sum over all k-subsets of marginal entropies; P is (N, q^n)."""
-    cube = P.reshape((P.shape[0],) + (q,) * n)
-    total = np.zeros(P.shape[0])
-    for idx in combinations(range(n), k):
-        axes = tuple(ax + 1 for ax in range(n) if ax not in idx)
-        marg = cube.sum(axis=axes) if axes else cube
-        total += _xlogx_entropy(marg.reshape(P.shape[0], -1), 1, base)
-    return total
+    return order_entropies(P.reshape((P.shape[0],) + (q,) * n), (k,), base)[:, 0]
+
 
 def batch_cohesion(P: np.ndarray, n: int, q: int, k: int, base: float | None = None) -> np.ndarray:
     """Cohesion-k for each row of a dense (N, q^n) batch."""
-    b = float(q if base is None else base)
-    joint = _xlogx_entropy(P, 1, b)
-    return batch_subset_entropies(P, n, q, k, b) - comb(n - 1, k - 1) * joint
+    joint = order_entropies(P.reshape((P.shape[0],) + (q,) * n), (n,), base)[:, 0]
+    return batch_subset_entropies(P, n, q, k, base) - comb(n - 1, k - 1) * joint
 
 
 def batch_cohesion_all(P: np.ndarray, n: int, q: int, base: float | None = None) -> np.ndarray:
     """(N, n-1) array with column k-1 holding Cohesion-k per row."""
-    b = float(q if base is None else base)
-    joint = _xlogx_entropy(P, 1, b)
-    cols = []
-    for k in range(1, n):
-        cols.append(batch_subset_entropies(P, n, q, k, b) - comb(n - 1, k - 1) * joint)
-    return np.stack(cols, axis=1)
+    h = order_entropies(P.reshape((P.shape[0],) + (q,) * n), range(1, n + 1), base)
+    return h[:, :-1] - np.array([comb(n - 1, k - 1) for k in range(1, n)]) * h[:, -1:]
 
 
 def batch_measure(P: np.ndarray, n: int, q: int, measure: str,
@@ -179,23 +162,11 @@ def make_objective(n: int, q: int, measure: str, base: float | None = None):
     b = float(q if base is None else base)
     shape = (1,) + (q,) * n
     if kind == "c":
-        axes_sets = [
-            tuple(ax + 1 for ax in range(n) if ax not in idx)
-            for idx in combinations(range(n), k)
-        ]
         coeff = comb(n - 1, k - 1)
-        logb = math.log(b)
 
         def objective(vec: np.ndarray) -> float:
-            cube = vec.reshape(shape)
-            total = 0.0
-            for axes in axes_sets:
-                m = cube.sum(axis=axes).ravel()
-                nz = m[m > 0.0]
-                total -= (nz * np.log(nz)).sum()
-            nz = vec[vec > 0.0]
-            total += coeff * (nz * np.log(nz)).sum()
-            return total / logb
+            h_k, h_joint = order_entropies(vec.reshape(shape), (k, n), b)[0]
+            return float(h_k - coeff * h_joint)
 
         return objective
 

@@ -96,10 +96,6 @@ def smallest_irreducible(p: int, m: int) -> tuple:
     raise FieldError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
-def _label_to_coeffs(label: int, p: int, m: int) -> tuple:
-    return _coeffs_from_value(label, p, m)
-
-
 def _coeffs_to_label(coeffs, p: int) -> int:
     label = 0
     for c in reversed(poly_trim(coeffs)):
@@ -121,7 +117,7 @@ class FieldSpec:
 
     # -- element views -----------------------------------------------------
     def coeffs(self, a: int) -> tuple:
-        return _label_to_coeffs(a, self.p, self.m)
+        return _coeffs_from_value(a, self.p, self.m)
 
     def element_str(self, a: int) -> str:
         """Polynomial rendering of a label (e.g. 3 -> 'z+1' in GF(4))."""
@@ -198,8 +194,8 @@ class FieldSpec:
 
 
 def _raw_mul(a: int, b: int, p: int, m: int, modulus) -> int:
-    pa = _label_to_coeffs(a, p, m)
-    pb = _label_to_coeffs(b, p, m)
+    pa = _coeffs_from_value(a, p, m)
+    pb = _coeffs_from_value(b, p, m)
     return _coeffs_to_label(poly_mod(poly_mul(pa, pb, p), modulus, p), p)
 
 

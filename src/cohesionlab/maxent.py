@@ -141,18 +141,6 @@ def check_eq4_bound(
     return Eq4Report(k, res.divergence, bound, slack, slack >= -(tol + 1e-6), res.converged)
 
 
-def divergence_scan_record(
-    p: JointDistribution,
-    k: int,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    base: float | None = None,
-) -> tuple[float, float]:
-    """(normalized Cohesion-k, divergence) pair for scatter plotting."""
-    rep = check_eq4_bound(p, k, tol, max_sweeps, base)
-    return rep.bound, rep.divergence
-
-
 def projection_json(p: JointDistribution, k: int, tol: float, max_sweeps: int) -> dict:
     res = maxent_projection(p, k, tol, max_sweeps)
     bound = cohesion_k(p, k, res.base) / comb(p.n - 1, k - 1)

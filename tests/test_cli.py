@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cohesionlab.cli import main, run_maximizer, worker_cap
+from cohesionlab.cli import main, run_maximizer
 from cohesionlab.dist import from_csv, to_csv
 from conftest import RS4_ATOMS
 
@@ -33,6 +33,21 @@ class TestCohesionCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["values"] == pytest.approx([2.0, 6.0, 2.0], abs=1e-9)
         assert payload["quad_slack"] is not None
+
+    def test_one_profile_pass_with_base(self, rs_csv, capsys, monkeypatch):
+        import cohesionlab.cohesion as cohesion
+
+        calls = []
+        kernel = cohesion.order_entropies
+        monkeypatch.setattr(cohesion, "order_entropies",
+                            lambda *args: calls.append(args) or kernel(*args))
+        assert main(["cohesion", rs_csv, "--base", "2", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert payload["base"] == 2.0
+        assert payload["values"] == pytest.approx([4.0, 12.0, 4.0], abs=1e-9)
+        # the quad inequalities stay in base-q units; all three are tight here
+        assert payload["quad_slack"] == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
 
     def test_missing_file(self, capsys):
         assert main(["cohesion", "/nonexistent.csv"]) == 1
@@ -133,20 +148,6 @@ class TestScanCommand:
         assert (tmp_path / "search" / "search_result.json").exists()
         assert (tmp_path / "search" / "search_best.csv").exists()
 
-    def test_thread_env_validated(self, monkeypatch, capsys):
-        monkeypatch.setenv("COHESION_THREADS", "zed")
-        assert main(["scan", "--n", "3", "--q", "2", "--mode", "random",
-                     "--samples", "5", "--measures", "c1,c2",
-                     "--out", "/tmp/ignored"]) == 1
-        assert "COHESION_THREADS" in capsys.readouterr().err
-
-    def test_thread_env_echoed(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("COHESION_THREADS", "4")
-        assert main(["scan", "--n", "3", "--q", "2", "--mode", "random",
-                     "--samples", "5", "--measures", "c1,c2",
-                     "--out", str(tmp_path), "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["threads"] == 4
-
 
 class TestMaximizerCommand:
     def test_n4_k2_certificate(self, capsys, rs_maximizer4):
@@ -173,10 +174,6 @@ class TestMaximizerCommand:
 
     def test_bad_order(self, capsys):
         assert main(["maximizer", "4", "4"]) == 1
-
-
-def test_worker_cap_default():
-    assert worker_cap() == 1
 
 
 def test_version(capsys):

@@ -1,4 +1,6 @@
 import math
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from cohesionlab.cohesion import (
     check_polymatroid_bounds,
     check_quad_inequalities,
     cohesion_k,
-    cohesion_k_conditional_form,
     cohesion_profile,
     constant_bound,
     profile_report,
@@ -16,12 +17,27 @@ from cohesionlab.cohesion import (
 from cohesionlab.dist import (
     JointDistribution,
     entropy,
+    indices_to_mask,
     kl_divergence,
     marginalize,
     product_of_marginals,
+    subset_entropy,
 )
 from cohesionlab.errors import DistributionError
 from conftest import random_distribution
+
+
+def cohesion_k_conditional_form(p, k, base=None):
+    """Independent oracle for `cohesion_k` on the reference path:
+    C(n-1,k) H(X) - sum over (n-k)-subsets B of H(X_B | X_A), with A the
+    complement of B."""
+    full = (1 << p.n) - 1
+    h_joint = subset_entropy(p, full, base)
+    total = comb(p.n - 1, k) * h_joint
+    for idx in combinations(range(p.n), p.n - k):
+        a_mask = full ^ indices_to_mask(idx)
+        total -= h_joint - subset_entropy(p, a_mask, base)
+    return total
 
 
 class TestCohesionK:
