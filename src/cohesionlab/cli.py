@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import count
 
 from . import __version__
 from .cohesion import (
@@ -22,15 +23,9 @@ from .cohesion import (
     constant_bound,
     profile_report,
 )
-from .codes import (
-    ENUM_LIMIT,
-    LinearCode,
-    code_to_distribution,
-    generator_json,
-    rs_generator,
-)
+from .codes import LinearCode, code_to_distribution, generator_json, rs_generator
 from .dist import load, to_csv, to_json_dict
-from .errors import SearchBudgetExceeded, ToolError
+from .errors import ToolError
 from .explore import ScanConfig, emit_scatter, grid_count, local_search_max
 from .gf import emit_tables, field_json, is_prime_power, make_field
 from .matroid import (
@@ -45,7 +40,6 @@ from .matroid import (
 from .maxent import projection_json
 
 LARGE_GRID_WARN = 10**6
-MAXIMIZER_FIELD_CAP = 64
 
 
 def _emit(payload: dict, as_json: bool, text_lines) -> None:
@@ -203,41 +197,15 @@ def run_maximizer(n: int, k: int):
     """Globally maximizing distribution for Cohesion-k over n variables,
     plus a self-verifying certificate.
 
-    Prime-power n uses the classical Reed-Solomon construction with
-    q = n; otherwise prime powers q > n are searched for a k x n matrix
-    with every k columns independent.
+    The code is Reed-Solomon over GF(q) for the smallest prime power
+    q >= n: the classical code when n is a prime power, otherwise its
+    first n columns (a shortened RS code), so no search runs.
     """
     if not 1 <= k <= n - 1:
         raise ToolError(f"interaction order k={k} outside 1..{n - 1}")
-    pm = is_prime_power(n)
-    tried = []
-    if pm:
-        field = make_field(*pm)
-        code = rs_generator(field, k)
-    else:
-        code = None
-        q = n
-        while q <= MAXIMIZER_FIELD_CAP:
-            q += 1
-            pq = is_prime_power(q)
-            if not pq:
-                continue
-            tried.append(q)
-            field = make_field(*pq)
-            rows = find_uniform_representation(k, n, field)
-            if rows is not None:
-                code = LinearCode.from_rows(field, rows)
-                break
-        if code is None:
-            raise SearchBudgetExceeded(
-                f"no representation found; largest field order tried: "
-                f"{tried[-1] if tried else n}"
-            )
+    field = make_field(*next(pm for pm in map(is_prime_power, count(n)) if pm))
+    code = LinearCode.from_rows(field, find_uniform_representation(k, n, field))
     q = code.q
-    if q**code.k > ENUM_LIMIT:
-        raise ToolError(
-            f"maximizer support {q}^{code.k} too large to enumerate"
-        )
     dist = code_to_distribution(code)
     value = cohesion_k(dist, k)  # base-q units
     bound = constant_bound(n, k)

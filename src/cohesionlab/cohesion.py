@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from math import comb
 
-from .dist import JointDistribution, order_entropies
+from .dist import JointDistribution, _log_base, order_entropies
 from .errors import DistributionError
 
 BOUND_TOL = 1e-9
@@ -54,9 +54,10 @@ class CohesionProfile:
         return self.values[k - 1]
 
     def rebase(self, base: float | None = None) -> "CohesionProfile":
-        """The same profile in another log base (default q)."""
+        """The same profile in another log base (default q); bases <= 1
+        raise DistributionError."""
         b = float(self.q if base is None else base)
-        f = math.log(self.base) / math.log(b)
+        f = math.log(self.base) / _log_base(self.q, b)
         return replace(self, base=b, values=tuple(v * f for v in self.values),
                        constant_bounds=tuple(v * f for v in self.constant_bounds),
                        slack=tuple(v * f for v in self.slack))

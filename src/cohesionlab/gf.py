@@ -119,22 +119,6 @@ class FieldSpec:
     def coeffs(self, a: int) -> tuple:
         return _coeffs_from_value(a, self.p, self.m)
 
-    def element_str(self, a: int) -> str:
-        """Polynomial rendering of a label (e.g. 3 -> 'z+1' in GF(4))."""
-        if self.m == 1:
-            return str(a)
-        terms = []
-        for i in reversed(range(self.m)):
-            c = self.coeffs(a)[i] if i < len(self.coeffs(a)) else 0
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c)
-                terms.append(f"{head}z^{i}" if i > 1 else f"{head}z")
-        return "+".join(terms) if terms else "0"
-
     def _check(self, *labels):
         for a in labels:
             if not 0 <= a < self.order:

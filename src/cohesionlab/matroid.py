@@ -3,8 +3,10 @@
 A distribution whose subset entropies (base q) are integers bounded by
 cardinality defines a matroid whose independent sets are the subsets S
 with H(S) = |S|. The same independence structure can come from matrix
-columns over a finite field. Desk-scale depth-first search decides
-whether the uniform matroid U_{k,n} is representable over a given field.
+columns over a finite field. The uniform matroid U_{k,n} is
+represented over GF(q) in closed form by a shortened or doubly extended
+Reed-Solomon code whenever n <= q+1; beyond that, a depth-first search
+within a budget of rank checks decides it or reports "undecided".
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .codes import rs_generator, subset_rank_entropy
 from .dist import JointDistribution, entropy_table
 from .errors import MatroidError, SearchBudgetExceeded
 from .gf import FieldSpec, matrix_rank
@@ -20,6 +23,8 @@ INTEGER_TOL = 1e-6
 NEAR_MATROID_TOL = 1e-3
 AXIOM_CHECK_LIMIT = 12
 SEARCH_CANDIDATE_LIMIT = 10**5
+# U_{3,5} over GF(3), the largest search the tests decide, takes 2,963.
+SEARCH_RANK_CHECK_LIMIT = 50_000
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,6 @@ def code_rank_report(code) -> RankReport:
     """Rank candidate for a code's uniform distribution without enumerating
     codewords: each marginal is uniform over the image of a linear map, so
     its base-q entropy equals the column-submatrix rank."""
-    from .codes import subset_rank_entropy
-
     values = [
         float(subset_rank_entropy(code, mask)) for mask in range(1 << code.n)
     ]
@@ -185,8 +188,13 @@ def find_uniform_representation(
     """k x n matrix over the field with every k-subset of columns
     independent, or None when no such matrix exists.
 
-    Raises SearchBudgetExceeded when the candidate-column pool is too
-    large to decide at this budget.
+    For n <= q the matrix is the first n columns of the Reed-Solomon
+    generator, a shortened RS code; for n = q+1 the point at infinity
+    (0, ..., 0, 1) is appended, the doubly extended RS code. Only for
+    n >= q+2 does a depth-first search run, which raises
+    SearchBudgetExceeded ("undecided") when the candidate-column pool
+    exceeds `max_candidates` or the search exceeds
+    SEARCH_RANK_CHECK_LIMIT rank checks.
     """
     if k < 1 or n < 1:
         raise MatroidError("k and n must be positive")
@@ -194,16 +202,34 @@ def find_uniform_representation(
         # identity-style columns: all subsets of size <= n are independent
         cols = [tuple(1 if i == j else 0 for i in range(k)) for j in range(n)]
         return [[col[i] for col in cols] for i in range(k)]
-    candidates = _projective_columns(field, k)
-    if len(candidates) > max_candidates:
+    if k == 1:
+        # any nonzero columns; the projective search below excludes parallel ones
+        return [[1] * n]
+    if n <= field.order + 1:
+        rows = [list(row[:n]) for row in rs_generator(field, k).generator]
+        if n == field.order + 1:
+            for i, row in enumerate(rows):
+                row.append(int(i == k - 1))
+        return rows
+    pool = (field.order**k - 1) // (field.order - 1)  # projective points
+    if pool > max_candidates:
         raise SearchBudgetExceeded(
-            f"undecided at this budget: {len(candidates)} candidate columns "
+            f"undecided at this budget: {pool} candidate columns "
             f"exceed {max_candidates}"
         )
+    candidates = _projective_columns(field, k)
     chosen: list[tuple] = []
+    checks = 0
 
     def compatible(col) -> bool:
+        nonlocal checks
         for subset in combinations(chosen, k - 1):
+            checks += 1
+            if checks > SEARCH_RANK_CHECK_LIMIT:
+                raise SearchBudgetExceeded(
+                    f"undecided at this budget: U_{{{k},{n}}} over GF({field.order}) "
+                    f"unsettled after {SEARCH_RANK_CHECK_LIMIT} rank checks"
+                )
             sub_cols = subset + (col,)
             rows = [[c[i] for c in sub_cols] for i in range(k)]
             if matrix_rank(field, rows) != k:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cohesionlab import matroid
 from cohesionlab.cli import main, run_maximizer
 from cohesionlab.dist import from_csv, to_csv
 from conftest import RS4_ATOMS
@@ -48,6 +49,12 @@ class TestCohesionCommand:
         assert payload["values"] == pytest.approx([4.0, 12.0, 4.0], abs=1e-9)
         # the quad inequalities stay in base-q units; all three are tight here
         assert payload["quad_slack"] == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
+
+    @pytest.mark.parametrize("base", ["1", "0.5"])
+    def test_base_at_most_one_rejected(self, rs_csv, capsys, base):
+        assert main(["cohesion", rs_csv, "--base", base, "--json"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: log base must be > 1\n"
 
     def test_missing_file(self, capsys):
         assert main(["cohesion", "/nonexistent.csv"]) == 1
@@ -115,6 +122,19 @@ class TestMatroidCommand:
                      "--p", "3", "--m", "1", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["representable"]
 
+    def test_uniform_rep_closed_form(self, capsys):
+        # n <= q+1: a shortened Reed-Solomon code, no search
+        assert main(["matroid", "uniform-rep", "--k", "5", "--n", "6",
+                     "--p", "7", "--m", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["representable"]
+
+    def test_uniform_rep_search_budget(self, capsys, monkeypatch):
+        # n >= q+2 searches; U_{3,7} over GF(5) is not settled within the budget
+        monkeypatch.setattr(matroid, "SEARCH_RANK_CHECK_LIMIT", 500)
+        assert main(["matroid", "uniform-rep", "--k", "3", "--n", "7",
+                     "--p", "5", "--m", "1"]) == 1
+        assert "undecided" in capsys.readouterr().err
+
 
 class TestScanCommand:
     def test_random_scan_writes_files(self, tmp_path, capsys):
@@ -157,10 +177,16 @@ class TestMaximizerCommand:
         assert cert["cohesion"] == pytest.approx(6.0, abs=1e-9)
 
     def test_non_prime_power_n(self):
-        # n=6 is not a prime power; the search settles on GF(7)
-        dist, cert = run_maximizer(6, 2)
-        assert cert["q"] == 7
-        assert cert["meets_bound"]
+        # n=6 is not a prime power; a shortened RS code over GF(7) is used
+        for k in (2, 5):
+            dist, cert = run_maximizer(6, k)
+            assert cert["q"] == 7
+            assert cert["meets_bound"] and cert["matroid_uniform"]
+
+    def test_enumeration_limit(self, capsys):
+        # GF(13) settles U_{6,12}, but 13^6 codewords exceed the limit
+        assert main(["maximizer", "12", "6"]) == 1
+        assert "exceeds the enumeration limit" in capsys.readouterr().err
 
     def test_cli_json(self, capsys):
         assert main(["maximizer", "4", "2", "--json"]) == 0

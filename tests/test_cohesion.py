@@ -138,6 +138,13 @@ class TestProfile:
         prof = cohesion_profile(rs_maximizer4, 2)
         assert prof.constant_bounds[1] == pytest.approx(12.0)  # 6 base-4 units
 
+    @pytest.mark.parametrize("base", [1, 0.5])
+    def test_rebase_rejects_base_at_most_one(self, rs_maximizer4, base):
+        with pytest.raises(DistributionError, match="log base must be > 1"):
+            cohesion_profile(rs_maximizer4).rebase(base)
+        with pytest.raises(DistributionError, match="log base must be > 1"):
+            cohesion_profile(rs_maximizer4, base)
+
 
 class TestConstantBound:
     def test_paper_values(self):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from cohesionlab.codes import code_to_distribution, rs_generator
+from cohesionlab.codes import (
+    LinearCode,
+    code_to_distribution,
+    k_column_independence,
+    rs_generator,
+)
 from cohesionlab.cohesion import cohesion_k, constant_bound
 from cohesionlab.dist import JointDistribution
 from cohesionlab.errors import MatroidError, SearchBudgetExceeded
@@ -147,6 +152,18 @@ class TestRepresentability:
     def test_k_equals_n_identity(self):
         assert uniform_representable_over(3, 3, GF2)
 
+    def test_k1_any_length(self):
+        # parallel columns are allowed at k = 1, so n may exceed q+1
+        assert uniform_representable_over(1, 5, GF2)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_closed_form_up_to_q_plus_1(self, q):
+        f = make_field(*is_prime_power(q))
+        for n in range(2, q + 2):
+            for k in range(1, n):
+                rows = find_uniform_representation(k, n, f)
+                assert k_column_independence(LinearCode.from_rows(f, rows)), (k, n)
+
     def test_found_matrix_is_valid(self):
         rows = find_uniform_representation(2, 4, GF3)
         view = vector_matroid(GF3, rows)
@@ -168,6 +185,11 @@ class TestRepresentability:
         f = make_field(2, 4)
         with pytest.raises(SearchBudgetExceeded, match="undecided"):
             find_uniform_representation(5, 40, f, max_candidates=10)
+
+    def test_candidate_pool_checked_before_it_is_built(self):
+        # GF(16)^6 has 1,118,481 projective points, above the default cap
+        with pytest.raises(SearchBudgetExceeded, match="1118481 candidate columns"):
+            find_uniform_representation(6, 40, make_field(2, 4))
 
 
 class TestTheoremChainSmall:
