@@ -22,7 +22,8 @@ class MatroidError(ToolError):
 
 
 class SearchBudgetExceeded(ToolError):
-    """A brute-force search ran out of budget; the question is undecided."""
+    """The question is undecided: it lies outside the results implemented,
+    such as an open case of the MDS conjecture."""
 
 
 class ScanError(ToolError):

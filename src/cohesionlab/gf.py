@@ -115,10 +115,6 @@ class FieldSpec:
     exp: tuple = field(repr=False)  # exp[i] = label of alpha^i, i in 0..q-2
     log: tuple = field(repr=False)  # log[label] for nonzero labels
 
-    # -- element views -----------------------------------------------------
-    def coeffs(self, a: int) -> tuple:
-        return _coeffs_from_value(a, self.p, self.m)
-
     def _check(self, *labels):
         for a in labels:
             if not 0 <= a < self.order:

@@ -5,14 +5,15 @@ cardinality defines a matroid whose independent sets are the subsets S
 with H(S) = |S|. The same independence structure can come from matrix
 columns over a finite field. The uniform matroid U_{k,n} is
 represented over GF(q) in closed form by a shortened or doubly extended
-Reed-Solomon code whenever n <= q+1; beyond that, a depth-first search
-within a budget of rank checks decides it or reports "undecided".
+Reed-Solomon code whenever n <= q+1. Beyond that, classical theorems on
+MDS codes decide it: they give the parity code or the hyperoval and its
+dual where one exists, prove non-existence elsewhere, and the few cases
+outside them are reported "undecided". No search runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .codes import rs_generator, subset_rank_entropy
 from .dist import JointDistribution, entropy_table
@@ -22,9 +23,6 @@ from .gf import FieldSpec, matrix_rank
 INTEGER_TOL = 1e-6
 NEAR_MATROID_TOL = 1e-3
 AXIOM_CHECK_LIMIT = 12
-SEARCH_CANDIDATE_LIMIT = 10**5
-# U_{3,5} over GF(3), the largest search the tests decide, takes 2,963.
-SEARCH_RANK_CHECK_LIMIT = 50_000
 
 
 @dataclass(frozen=True)
@@ -160,41 +158,45 @@ def is_isomorphic_uniform(m: MatroidView, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Uniform-matroid representability search
+# Uniform-matroid representability
 # ---------------------------------------------------------------------------
 
-def _projective_columns(field: FieldSpec, k: int) -> list[tuple]:
-    """One representative per projective point: first nonzero coord = 1.
+def _dual(field: FieldSpec, rows) -> list[list]:
+    """[-A^T | I] for a systematic [I | A]: the parity-check matrix.
 
-    Scaling a column never changes independence, so restricting to these
-    representatives loses nothing.
+    The dual of an MDS code is MDS, so if `rows` represents U_{k,n} the
+    result represents U_{n-k,n}.
     """
-    q = field.order
-    reps = []
-    for lead in range(k):
-        for tail_value in range(q ** (k - lead - 1)):
-            col = [0] * lead + [1]
-            v = tail_value
-            for _ in range(k - lead - 1):
-                v, d = divmod(v, q)
-                col.append(d)
-            reps.append(tuple(col))
-    return reps
+    tail = [row[len(rows):] for row in rows]
+    width = len(tail[0])
+    return [
+        [field.neg(a[i]) for a in tail] + [int(i == j) for j in range(width)]
+        for i in range(width)
+    ]
 
 
-def find_uniform_representation(
-    k: int, n: int, field: FieldSpec, max_candidates: int = SEARCH_CANDIDATE_LIMIT
-):
+def find_uniform_representation(k: int, n: int, field: FieldSpec):
     """k x n matrix over the field with every k-subset of columns
     independent, or None when no such matrix exists.
 
-    For n <= q the matrix is the first n columns of the Reed-Solomon
-    generator, a shortened RS code; for n = q+1 the point at infinity
-    (0, ..., 0, 1) is appended, the doubly extended RS code. Only for
-    n >= q+2 does a depth-first search run, which raises
-    SearchBudgetExceeded ("undecided") when the candidate-column pool
-    exceeds `max_candidates` or the search exceeds
-    SEARCH_RANK_CHECK_LIMIT rank checks.
+    Such a matrix generates an [n, k] MDS code over GF(q), so the answer
+    comes from coding theory, never from a search. For n <= q the matrix
+    is the first n columns of the Reed-Solomon generator, a shortened RS
+    code; for n = q+1 the point at infinity (0, ..., 0, 1) is appended,
+    the doubly extended RS code. For n >= q+2, with k' = min(k, n-k):
+
+    - k = n-1: the parity code [-1 | I_{n-1}];
+    - max(k, n-k) >= q: None, since an MDS code with 2 <= k <= n-2 has
+      minimum distance at most q (its weight distribution gives
+      A_{d+1} = C(n, d+1)(q-1)(q-d) >= 0; MacWilliams & Sloane ch. 11),
+      applied to the code and its dual (Bush 1952);
+    - k' = 3: only for q even, where n = q+2 and the columns form a
+      hyperoval (Bose 1947; Segre 1955); k = q-1 takes its dual;
+    - k' <= p for q = p^h (Ball 2012), or k' <= 2p-2 for non-prime q
+      (Ball & De Beule 2012): None.
+
+    Any other case is an open instance of the MDS conjecture and raises
+    SearchBudgetExceeded ("undecided").
     """
     if k < 1 or n < 1:
         raise MatroidError("k and n must be positive")
@@ -203,53 +205,34 @@ def find_uniform_representation(
         cols = [tuple(1 if i == j else 0 for i in range(k)) for j in range(n)]
         return [[col[i] for col in cols] for i in range(k)]
     if k == 1:
-        # any nonzero columns; the projective search below excludes parallel ones
+        # any nonzero columns; parallel ones are allowed at rank 1
         return [[1] * n]
-    if n <= field.order + 1:
+    q = field.order
+    if n <= q + 1:
         rows = [list(row[:n]) for row in rs_generator(field, k).generator]
-        if n == field.order + 1:
+        if n == q + 1:
             for i, row in enumerate(rows):
                 row.append(int(i == k - 1))
         return rows
-    pool = (field.order**k - 1) // (field.order - 1)  # projective points
-    if pool > max_candidates:
-        raise SearchBudgetExceeded(
-            f"undecided at this budget: {pool} candidate columns "
-            f"exceed {max_candidates}"
-        )
-    candidates = _projective_columns(field, k)
-    chosen: list[tuple] = []
-    checks = 0
-
-    def compatible(col) -> bool:
-        nonlocal checks
-        for subset in combinations(chosen, k - 1):
-            checks += 1
-            if checks > SEARCH_RANK_CHECK_LIMIT:
-                raise SearchBudgetExceeded(
-                    f"undecided at this budget: U_{{{k},{n}}} over GF({field.order}) "
-                    f"unsettled after {SEARCH_RANK_CHECK_LIMIT} rank checks"
-                )
-            sub_cols = subset + (col,)
-            rows = [[c[i] for c in sub_cols] for i in range(k)]
-            if matrix_rank(field, rows) != k:
-                return False
-        return True
-
-    def extend(start: int) -> bool:
-        if len(chosen) == n:
-            return True
-        for i in range(start, len(candidates)):
-            if compatible(candidates[i]):
-                chosen.append(candidates[i])
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if extend(0):
-        return [[col[i] for col in chosen] for i in range(k)]
-    return None
+    if k == n - 1:
+        return _dual(field, [[1] * n])
+    if max(k, n - k) >= q:
+        return None
+    k_min = min(k, n - k)
+    if k_min == 3 and q % 2 == 0:
+        # n - 3 <= q - 1 here, so n = q + 2; odd q falls to Ball's k' <= p
+        hyperoval = [
+            [1, 0, 0] + [1] * (q - 1),
+            [0, 1, 0] + list(range(1, q)),
+            [0, 0, 1] + [field.mul(t, t) for t in range(1, q)],
+        ]
+        return hyperoval if k == 3 else _dual(field, hyperoval)
+    if k_min <= field.p or (field.m > 1 and k_min <= 2 * field.p - 2):
+        return None
+    raise SearchBudgetExceeded(
+        f"undecided: U_{{{k},{n}}} over GF({q}) is outside the MDS results "
+        "implemented here"
+    )
 
 
 def uniform_representable_over(k: int, n: int, field: FieldSpec) -> bool:

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from cohesionlab import matroid
 from cohesionlab.cli import main, run_maximizer
 from cohesionlab.dist import from_csv, to_csv
 from conftest import RS4_ATOMS
@@ -128,12 +127,19 @@ class TestMatroidCommand:
                      "--p", "7", "--m", "1", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["representable"]
 
-    def test_uniform_rep_search_budget(self, capsys, monkeypatch):
-        # n >= q+2 searches; U_{3,7} over GF(5) is not settled within the budget
-        monkeypatch.setattr(matroid, "SEARCH_RANK_CHECK_LIMIT", 500)
-        assert main(["matroid", "uniform-rep", "--k", "3", "--n", "7",
-                     "--p", "5", "--m", "1"]) == 1
+    def test_uniform_rep_search_budget(self, capsys):
+        # n >= q+2 is decided by MDS theorems; outside them the answer is
+        # "undecided" with exit 1
+        assert main(["matroid", "uniform-rep", "--k", "4", "--n", "10",
+                     "--p", "2", "--m", "3"]) == 1
         assert "undecided" in capsys.readouterr().err
+        assert main(["matroid", "uniform-rep", "--k", "8", "--n", "12",
+                     "--p", "2", "--m", "1"]) == 0
+        assert "not representable" in capsys.readouterr().out
+        # the dual of a hyperoval in PG(2, 8)
+        assert main(["matroid", "uniform-rep", "--k", "7", "--n", "10",
+                     "--p", "2", "--m", "3"]) == 0
+        assert capsys.readouterr().out.strip().endswith(": representable")
 
 
 class TestScanCommand:

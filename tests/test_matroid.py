@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from cohesionlab.codes import (
 from cohesionlab.cohesion import cohesion_k, constant_bound
 from cohesionlab.dist import JointDistribution
 from cohesionlab.errors import MatroidError, SearchBudgetExceeded
-from cohesionlab.gf import is_prime_power, make_field
+from cohesionlab.gf import is_prime_power, make_field, matrix_rank
 from cohesionlab.matroid import (
     check_axioms,
     code_rank_report,
@@ -27,6 +29,88 @@ from cohesionlab.matroid import (
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
 GF4 = make_field(2, 2)
+
+# Reference oracle for the representability table: a depth-first search
+# over one representative column per projective point. It stops after
+# ORACLE_RANK_CHECKS rank checks; the costliest case in ORACLE_DECIDED,
+# U_{4,6} over GF(2), takes 5,889.
+ORACLE_RANK_CHECKS = 50_000
+
+
+def _projective_columns(field, k):
+    """One representative per projective point: first nonzero coord = 1.
+
+    Scaling a column never changes independence, so restricting to these
+    representatives loses nothing.
+    """
+    q = field.order
+    reps = []
+    for lead in range(k):
+        for tail_value in range(q ** (k - lead - 1)):
+            col = [0] * lead + [1]
+            v = tail_value
+            for _ in range(k - lead - 1):
+                v, d = divmod(v, q)
+                col.append(d)
+            reps.append(tuple(col))
+    return reps
+
+
+def search_uniform_representation(k, n, field):
+    """Depth-first search for n columns in GF(q)^k, every k independent;
+    None when none exists, SearchBudgetExceeded past the budget."""
+    candidates = _projective_columns(field, k)
+    chosen = []
+    checks = 0
+
+    def compatible(col):
+        nonlocal checks
+        for subset in combinations(chosen, k - 1):
+            checks += 1
+            if checks > ORACLE_RANK_CHECKS:
+                raise SearchBudgetExceeded("undecided at this budget")
+            sub_cols = subset + (col,)
+            rows = [[c[i] for c in sub_cols] for i in range(k)]
+            if matrix_rank(field, rows) != k:
+                return False
+        return True
+
+    def extend(start):
+        if len(chosen) == n:
+            return True
+        for i in range(start, len(candidates)):
+            if compatible(candidates[i]):
+                chosen.append(candidates[i])
+                if extend(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if extend(0):
+        return [[col[i] for col in chosen] for i in range(k)]
+    return None
+
+
+GRID_ORDERS = (2, 3, 4, 5, 7, 8, 9)
+GRID = [
+    (q, n, k)
+    for q in GRID_ORDERS
+    for n in range(q + 2, q + 5)
+    for k in range(2, n - 1)
+]
+# The grid cases the oracle decides within its budget (about 1 s in
+# total); the other 85 exhaust it and together take about 190 s.
+ORACLE_DECIDED = [
+    (2, 4, 2), (2, 5, 2), (2, 5, 3), (2, 6, 2), (2, 6, 3), (2, 6, 4),
+    (3, 5, 2), (3, 5, 3), (3, 6, 2), (3, 6, 3), (3, 7, 2), (3, 7, 3),
+    (4, 6, 2), (4, 6, 3), (4, 7, 2), (4, 8, 2), (5, 7, 2), (5, 8, 2),
+    (5, 9, 2), (7, 9, 2), (7, 10, 2), (7, 11, 2), (8, 10, 2), (8, 10, 3),
+    (8, 11, 2), (8, 12, 2), (9, 11, 2), (9, 12, 2), (9, 13, 2),
+]
+
+
+def _field(q):
+    return make_field(*is_prime_power(q))
 
 
 class TestRankReport:
@@ -182,14 +266,54 @@ class TestRepresentability:
                 seen_true = seen_true or ok
 
     def test_budget_exceeded_is_explicit(self):
-        f = make_field(2, 4)
+        # k' = 4 over GF(8) lies outside every implemented theorem
         with pytest.raises(SearchBudgetExceeded, match="undecided"):
-            find_uniform_representation(5, 40, f, max_candidates=10)
+            find_uniform_representation(4, 10, make_field(2, 3))
 
     def test_candidate_pool_checked_before_it_is_built(self):
-        # GF(16)^6 has 1,118,481 projective points, above the default cap
-        with pytest.raises(SearchBudgetExceeded, match="1118481 candidate columns"):
-            find_uniform_representation(6, 40, make_field(2, 4))
+        # n - k = 34 >= q = 16 rules the code out before any column is built
+        assert find_uniform_representation(6, 40, make_field(2, 4)) is None
+
+
+    def test_table_agrees_with_search_oracle(self):
+        compared = 0
+        for q, n, k in ORACLE_DECIDED:
+            assert (q, n, k) in GRID
+            f = _field(q)
+            table = find_uniform_representation(k, n, f)
+            oracle = search_uniform_representation(k, n, f)
+            assert (table is None) == (oracle is None), (q, n, k)
+            compared += 1
+        assert compared >= 29
+
+    def test_table_decides_grid_outside_open_cases(self):
+        undecided = []
+        for q, n, k in GRID:
+            try:
+                find_uniform_representation(k, n, _field(q))
+            except SearchBudgetExceeded:
+                undecided.append((q, n, k))
+        # open cases with k' = min(k, n-k) in 4..6 over GF(8) and GF(9)
+        assert len(undecided) == 19
+        assert all(q in (8, 9) and 4 <= min(k, n - k) <= 6 for q, n, k in undecided)
+
+    def test_representable_answers_pass_column_independence(self):
+        hyperovals = [(q, q + 2, k) for q in (4, 8, 16) for k in (3, q - 1)]
+        parity = [(q, n, n - 1) for q in (2, 3) for n in range(q + 2, q + 5)]
+        representable = []
+        for q, n, k in GRID + hyperovals + parity:
+            f = _field(q)
+            try:
+                rows = find_uniform_representation(k, n, f)
+            except SearchBudgetExceeded:
+                continue
+            if rows is not None:
+                code = LinearCode.from_rows(f, rows)
+                assert (code.k, code.n) == (k, n)
+                assert k_column_independence(code), (q, n, k)
+                representable.append((q, n, k))
+        assert set(hyperovals + parity) <= set(representable)
+        assert (8, 10, 7) in representable  # beyond the oracle's budget
 
 
 class TestTheoremChainSmall:
