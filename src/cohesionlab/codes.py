@@ -5,18 +5,20 @@ Reed-Solomon generators are built in the classical q = n case by
 evaluating the monomial basis 1, z, ..., z^(k-1) at the point list
 (0, 1, alpha, ..., alpha^(q-2)), giving a Vandermonde matrix. Codeword
 enumeration runs messages in lexicographic order so table reproduction
-is bit-exact.
+is bit-exact. Ranks and codewords come from the batched log-domain
+kernels in `gf`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 from math import comb
+
+import numpy as np
 
 from .dist import JointDistribution
 from .errors import CodeError
-from .gf import FieldSpec, matrix_rank
+from .gf import BATCH_LABELS, FieldSpec, batch_rank, column_subset_ranks, matmul
 
 ENUM_LIMIT = 1 << 20
 COLUMN_SUBSET_LIMIT = 10**6
@@ -55,7 +57,7 @@ class LinearCode:
             len(row) != self.n for row in self.generator
         ):
             raise CodeError("generator shape does not match (k, n)")
-        if matrix_rank(self.field, self.generator) != self.k:
+        if batch_rank(self.field, [self.generator])[0] != self.k:
             raise CodeError("generator rows are linearly dependent")
 
     @classmethod
@@ -85,21 +87,26 @@ def rs_generator(field: FieldSpec, k: int) -> LinearCode:
     return LinearCode(field, k, q, rows)
 
 
-def enumerate_codewords(c: LinearCode) -> list[tuple]:
-    """All q^k codewords, messages in lexicographic order."""
-    if c.q**c.k > ENUM_LIMIT:
+def _codeword_chunks(c: LinearCode):
+    """Codeword arrays of at most BATCH_LABELS labels, messages in
+    lexicographic order (first symbol slowest)."""
+    total = c.q**c.k
+    if total > ENUM_LIMIT:
         raise CodeError(
             f"codeword count {c.q}^{c.k} exceeds the enumeration limit {ENUM_LIMIT}"
         )
-    f = c.field
+    step = max(1, BATCH_LABELS // c.n)  # k <= n for a code of rank k
+    place = c.q ** np.arange(c.k - 1, -1, -1)
+    for start in range(0, total, step):
+        index = np.arange(start, min(start + step, total))
+        yield matmul(c.field, index[:, None] // place % c.q, c.generator)
+
+
+def enumerate_codewords(c: LinearCode) -> list[tuple]:
+    """All q^k codewords, messages in lexicographic order."""
     words = []
-    for message in product(range(c.q), repeat=c.k):
-        word = [0] * c.n
-        for m_i, row in zip(message, c.generator):
-            if m_i:
-                for j, g in enumerate(row):
-                    word[j] = f.add(word[j], f.mul(m_i, g))
-        words.append(tuple(word))
+    for chunk in _codeword_chunks(c):
+        words.extend(map(tuple, chunk.tolist()))
     return words
 
 
@@ -107,10 +114,9 @@ def min_distance(c: LinearCode) -> CodeParams:
     """Exact minimum distance by exhaustive nonzero-weight scan (the code
     is linear, so min distance equals min nonzero weight)."""
     best = c.n
-    for word in enumerate_codewords(c):
-        w = sum(1 for v in word if v)
-        if 0 < w < best:
-            best = w
+    for chunk in _codeword_chunks(c):
+        weights = np.count_nonzero(chunk, axis=1)
+        best = min(best, int(weights[weights > 0].min(initial=c.n)))
     return CodeParams(c.n, c.k, c.q, best)
 
 
@@ -120,12 +126,15 @@ def k_column_independence(c: LinearCode) -> bool:
         raise CodeError(
             f"C({c.n},{c.k}) column subsets exceed the limit {COLUMN_SUBSET_LIMIT}"
         )
-    return all(column_subset_rank(c, cols) == c.k for cols in combinations(range(c.n), c.k))
+    return bool((column_subset_ranks(c.field, c.generator, c.k) == c.k).all())
 
 
 def column_subset_rank(c: LinearCode, cols) -> int:
-    sub = [[row[j] for j in cols] for row in c.generator]
-    return matrix_rank(c.field, sub)
+    cols = list(cols)
+    for j in cols:
+        if not 0 <= j < c.n:
+            raise CodeError(f"column {j} outside 0..{c.n - 1}")
+    return int(batch_rank(c.field, [[[row[j] for j in cols] for row in c.generator]])[0])
 
 
 def subset_rank_entropy(c: LinearCode, mask: int) -> int:
@@ -135,10 +144,9 @@ def subset_rank_entropy(c: LinearCode, mask: int) -> int:
     the selected columns, a linear map, so its entropy is exactly the
     rank of the column submatrix.
     """
-    cols = [j for j in range(c.n) if mask >> j & 1]
-    if not cols:
-        return 0
-    return column_subset_rank(c, cols)
+    if not 0 <= mask < 1 << c.n:
+        raise CodeError(f"mask {mask:#b} does not fit in {c.n} columns")
+    return column_subset_rank(c, [j for j in range(c.n) if mask >> j & 1])
 
 
 def code_to_distribution(c: LinearCode) -> JointDistribution:

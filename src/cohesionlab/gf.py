@@ -5,16 +5,31 @@ encoding of their polynomial coefficients (constant term is the least
 significant digit). For GF(4) with modulus z^2+z+1 this maps z -> 2 and
 z+1 -> 3. Multiplication and inversion go through log/antilog tables
 built from the smallest primitive element at construction time.
+
+The scalar `FieldSpec` operations and `matrix_rank` are the reference
+path. Batched linear algebra (`batch_rank`, `column_subset_ranks`,
+`matmul`) works on whole numpy label arrays in the log domain: a
+product is a sum of logs, and a sum goes through the Zech logarithm
+Z(t) = log(1 + alpha^t), since alpha^x + alpha^y = alpha^(x + Z(y - x))
+(Lidl & Niederreiter, Finite Fields, ch. 10). The tables are O(q) and
+built once per field, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations, islice
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import FieldError
 
 MAX_ORDER = 1 << 16
 PRINT_LIMIT = 64
+# Most labels one step of a batched kernel holds in a working array.
+BATCH_LABELS = 1 << 18
 
 
 def is_prime(x: int) -> bool:
@@ -114,6 +129,10 @@ class FieldSpec:
     primitive: int
     exp: tuple = field(repr=False)  # exp[i] = label of alpha^i, i in 0..q-2
     log: tuple = field(repr=False)  # log[label] for nonzero labels
+
+    @cached_property
+    def _tables(self) -> "_LogTables":
+        return _log_tables(self)
 
     def _check(self, *labels):
         for a in labels:
@@ -307,6 +326,114 @@ def matrix_rank(f: FieldSpec, rows) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+# ---------------------------------------------------------------------------
+# Batched linear algebra in the log domain
+# ---------------------------------------------------------------------------
+
+class _LogTables(NamedTuple):
+    exp: np.ndarray  # exp[i] = label of alpha^i, i in 0..q-2
+    log: np.ndarray  # log[label], with -1 standing for the zero element
+    zech: np.ndarray  # zech[t] = log(1 + alpha^t), -1 where that sum is zero
+    log_neg_one: int  # log(-1)
+
+
+def _log_tables(f: FieldSpec) -> _LogTables:
+    exp = np.array(f.exp, dtype=np.int64)
+    log = np.array(f.log, dtype=np.int64)
+    log[0] = -1
+    # Adding 1 changes only the constant coefficient, the lowest digit.
+    one_plus = exp + np.where(exp % f.p == f.p - 1, 1 - f.p, 1)
+    return _LogTables(exp, log, log[one_plus], int(log[f.p - 1]))
+
+
+def _labels(f: FieldSpec, x) -> np.ndarray:
+    """Label array of x, checked once against 0 <= a < q."""
+    a = np.asarray(x)
+    if a.size and a.dtype.kind not in "iu":
+        raise FieldError(f"labels must be integers, not {a.dtype}")
+    a = a.astype(np.int64, copy=False)
+    bad = (a < 0) | (a >= f.order)
+    if bad.any():
+        raise FieldError(f"label {a[bad][0]} outside field of order {f.order}")
+    return a
+
+
+def _zech_add(t: _LogTables, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Logs of alpha^x + alpha^y, elementwise; -1 is zero throughout."""
+    n1 = len(t.exp)
+    s = t.zech[(y - x) % n1]
+    out = np.where(s < 0, -1, (x + s) % n1)
+    out = np.where(x < 0, y, out)
+    return np.where(y < 0, x, out)
+
+
+def _rank_logs(t: _LogTables, a: np.ndarray) -> np.ndarray:
+    """Ranks of a (B, r, c) batch of log matrices; overwrites `a`.
+
+    Each column's pivot row eliminates that column from every row,
+    itself included, so a used pivot row becomes zero and is never
+    picked again: no row swaps and no per-matrix row bookkeeping.
+    """
+    n1 = len(t.exp)
+    rank = np.zeros(a.shape[0], dtype=np.int64)
+    batch = np.arange(a.shape[0])
+    for col in range(a.shape[2]):
+        head = a[:, :, col]
+        nonzero = head >= 0
+        has = nonzero.any(axis=1)
+        if not has.any():
+            continue
+        rank += has
+        rest = a[:, :, col:]
+        prow = rest[batch, nonzero.argmax(axis=1)]
+        # -(head_i / pivot) * prow_j; garbage where head_i or prow_j is zero
+        term = ((head - prow[:, :1])[:, :, None] + prow[:, None, :] + t.log_neg_one) % n1
+        term[~(nonzero[:, :, None] & (prow[:, None, :] >= 0))] = -1
+        rest[...] = _zech_add(t, rest, term)
+    return rank
+
+
+def batch_rank(f: FieldSpec, mats) -> np.ndarray:
+    """Ranks of a (B, r, c) batch of label matrices, agreeing with
+    `matrix_rank` on each; at most BATCH_LABELS labels per step."""
+    a = _labels(f, mats)
+    if a.ndim != 3:
+        raise FieldError("batch_rank expects a (B, r, c) array of labels")
+    t = f._tables
+    step = max(1, BATCH_LABELS // max(1, a.shape[1] * a.shape[2]))
+    return np.concatenate(
+        [_rank_logs(t, t.log[a[s:s + step]]) for s in range(0, len(a), step)]
+        or [np.zeros(0, dtype=np.int64)]
+    )
+
+
+def column_subset_ranks(f: FieldSpec, matrix, size: int) -> np.ndarray:
+    """Rank of every `size`-column submatrix, subsets in
+    `itertools.combinations` order, gathered BATCH_LABELS at a time."""
+    logs = f._tables.log[_labels(f, matrix)].T  # columns as rows
+    r = logs.shape[1]
+    subsets = combinations(range(len(logs)), size)
+    step = max(1, BATCH_LABELS // max(1, r * size))
+    ranks = []
+    while chunk := list(islice(subsets, step)):
+        cols = np.array(chunk, dtype=np.intp).reshape(len(chunk), size)
+        # rank(G_S) = rank(G_S^T), and the (B, size, r) gather is contiguous
+        ranks.append(_rank_logs(f._tables, logs[cols]))
+    return np.concatenate(ranks) if ranks else np.zeros(0, dtype=np.int64)
+
+
+def matmul(f: FieldSpec, a, b) -> np.ndarray:
+    """Product of an (N, k) and a (k, n) label array over the field."""
+    t = f._tables
+    la, lb = t.log[_labels(f, a)], t.log[_labels(f, b)]
+    n1 = len(t.exp)
+    acc = np.full((la.shape[0], lb.shape[1]), -1, dtype=np.int64)
+    for i in range(la.shape[1]):
+        x, y = la[:, i, None], lb[i]
+        acc = _zech_add(t, acc, np.where((x >= 0) & (y >= 0), (x + y) % n1, -1))
+    return np.where(acc < 0, 0, t.exp[acc])
 
 
 def is_prime_power(x: int):

@@ -14,11 +14,14 @@ outside them are reported "undecided". No search runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .codes import rs_generator, subset_rank_entropy
+import numpy as np
+
+from .codes import rs_generator
 from .dist import JointDistribution, entropy_table
 from .errors import MatroidError, SearchBudgetExceeded
-from .gf import FieldSpec, matrix_rank
+from .gf import FieldSpec, column_subset_ranks
 
 INTEGER_TOL = 1e-6
 NEAR_MATROID_TOL = 1e-3
@@ -62,14 +65,22 @@ def entropy_rank_report(p: JointDistribution) -> RankReport:
     return _rank_report_from_values(p.n, entropy_table(p, p.q))
 
 
+def _ranks_by_mask(field: FieldSpec, matrix, n: int, max_size: int) -> np.ndarray:
+    """Column-submatrix rank indexed by subset mask, one batch per subset
+    size up to max_size; larger subsets are left at 0."""
+    ranks = np.zeros(1 << n, dtype=np.int64)
+    for size in range(1, max_size + 1):
+        masks = [sum(1 << j for j in s) for s in combinations(range(n), size)]
+        ranks[masks] = column_subset_ranks(field, matrix, size)
+    return ranks
+
+
 def code_rank_report(code) -> RankReport:
     """Rank candidate for a code's uniform distribution without enumerating
     codewords: each marginal is uniform over the image of a linear map, so
     its base-q entropy equals the column-submatrix rank."""
-    values = [
-        float(subset_rank_entropy(code, mask)) for mask in range(1 << code.n)
-    ]
-    return _rank_report_from_values(code.n, values)
+    ranks = _ranks_by_mask(code.field, code.generator, code.n, code.n)
+    return _rank_report_from_values(code.n, ranks.astype(float).tolist())
 
 
 def matroid_from_ranks(r: RankReport, verify: bool = True) -> MatroidView:
@@ -133,16 +144,9 @@ def vector_matroid(field: FieldSpec, matrix) -> MatroidView:
     ncols = len(rows[0]) if rows else 0
     if ncols > 20:
         raise MatroidError("vector matroid limited to 20 columns")
-    independents = set()
-    for mask in range(1 << ncols):
-        size = mask.bit_count()
-        if size > len(rows):
-            continue
-        cols = [j for j in range(ncols) if mask >> j & 1]
-        sub = [[row[j] for j in cols] for row in rows]
-        if mask == 0 or matrix_rank(field, sub) == size:
-            independents.add(mask)
-    return MatroidView(ncols, frozenset(independents), "vector")
+    ranks = _ranks_by_mask(field, rows, ncols, min(len(rows), ncols)).tolist()
+    independents = frozenset(m for m, r in enumerate(ranks) if r == m.bit_count())
+    return MatroidView(ncols, independents, "vector")
 
 
 def uniform_matroid(k: int, n: int) -> MatroidView:

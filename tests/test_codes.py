@@ -177,3 +177,21 @@ def test_column_subset_rank():
     code = rs_generator(GF4, 2)
     assert column_subset_rank(code, (0, 1)) == 2
     assert column_subset_rank(code, (2,)) == 1
+
+
+class TestSubsetRange:
+    """Column subsets are checked against the code length, as
+    `dist.subset_entropy` checks masks against n."""
+
+    def test_mask_beyond_length_rejected(self):
+        code = rs_generator(GF4, 2)  # n = 4
+        with pytest.raises(CodeError, match="does not fit in 4 columns"):
+            subset_rank_entropy(code, 0b110000)
+
+    def test_negative_columns_rejected(self):
+        with pytest.raises(CodeError, match="column -1 outside 0..3"):
+            column_subset_rank(rs_generator(GF4, 2), (-1, -2))
+
+    def test_column_past_end_rejected(self):
+        with pytest.raises(CodeError, match="column 7 outside 0..3"):
+            column_subset_rank(rs_generator(GF4, 2), (7,))
