@@ -147,6 +147,11 @@ def cmd_matroid_uniform_rep(args) -> int:
 
 def cmd_scan(args) -> int:
     measures = tuple(m.strip() for m in args.measures.split(",") if m.strip())
+    if args.mode == "search":
+        # a search scores one measure: validate it alone, not all of --measures
+        measures = (args.objective,) if args.objective else measures[:1]
+        if not measures:
+            raise ToolError("search mode needs --objective")
     cfg = ScanConfig(
         n=args.n,
         q=args.q,
@@ -163,13 +168,14 @@ def cmd_scan(args) -> int:
                 f"grid scan has {points} points; rerun with --allow-large to proceed"
             )
     if args.mode == "search":
-        result = local_search_max(cfg, args.objective, restarts=args.restarts)
+        result = local_search_max(cfg, restarts=args.restarts)
         payload = {
             "mode": "search",
             "objective": result.measure,
             "value": result.value,
             "restarts": result.restarts,
             "evaluations": result.evaluations,
+            "ipf_unconverged": result.ipf_unconverged,
             "seed": result.seed,
             "threads": 1,
             "distribution": to_json_dict(result.distribution),
@@ -178,6 +184,8 @@ def cmd_scan(args) -> int:
             f"best {result.measure} = {result.value:.9g} (base {cfg.q})"
             f" over {result.restarts} restarts (seed {result.seed})",
         ]
+        if result.ipf_unconverged:
+            lines.append(f"warning: {result.ipf_unconverged} IPF batches did not converge")
         if args.out:
             from pathlib import Path
 

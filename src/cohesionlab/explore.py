@@ -10,6 +10,7 @@ stay cheap.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -24,6 +25,9 @@ GRID_POINT_LIMIT = 10**8
 DEFAULT_SAMPLES = 100_000
 DELTA_START = 0.125
 DELTA_MIN = 2.0**-26
+BATCH_CELLS = 1 << 16  # cells of one hill-climb candidate batch
+IPF_TOL = 1e-9
+IPF_MAX_SWEEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -155,25 +159,36 @@ class SearchResult:
     restarts: int
     evaluations: int
     seed: int
+    ipf_unconverged: int = 0
 
 
-def make_objective(n: int, q: int, measure: str, base: float | None = None):
+def make_objective(n: int, q: int, measure: str, base: float | None = None,
+                   tally: Counter | None = None):
+    """Measure over dense candidate rows: a (B, q^n) batch gives (B,)
+    values and a 1-D vector gives one float.
+
+    The d-branch projects each batch with IPF capped at IPF_MAX_SWEEPS;
+    a batch still at residual >= IPF_TOL adds 1 to
+    tally["ipf_unconverged"] when a tally is given.
+    """
     kind, k = parse_measure(measure, n)
     b = float(q if base is None else base)
-    shape = (1,) + (q,) * n
-    if kind == "c":
-        coeff = comb(n - 1, k - 1)
+    coeff = comb(n - 1, k - 1)
 
-        def objective(vec: np.ndarray) -> float:
-            h_k, h_joint = order_entropies(vec.reshape(shape), (k, n), b)[0]
-            return float(h_k - coeff * h_joint)
+    def values(batch: np.ndarray) -> np.ndarray:
+        cube = batch.reshape((batch.shape[0],) + (q,) * n)
+        if kind == "c":
+            h = order_entropies(cube, (k, n), b)
+            return h[:, 0] - coeff * h[:, 1]
+        proj, _, residual = ipf_project_batch(cube, k, IPF_TOL, IPF_MAX_SWEEPS)
+        if tally is not None and not residual < IPF_TOL:
+            tally["ipf_unconverged"] += 1
+        return batch_divergence(cube, proj, b)
 
-        return objective
-
-    def objective(vec: np.ndarray) -> float:
-        cube = vec.reshape(shape)
-        proj, _, _ = ipf_project_batch(cube, k, 1e-9, 2000)
-        return float(batch_divergence(cube, proj, b)[0])
+    def objective(vecs: np.ndarray):
+        vecs = np.asarray(vecs, dtype=float)
+        out = values(np.atleast_2d(vecs))
+        return float(out[0]) if vecs.ndim == 1 else out
 
     return objective
 
@@ -181,10 +196,22 @@ def make_objective(n: int, q: int, measure: str, base: float | None = None):
 def hill_climb(vec: np.ndarray, objective, delta_start: float = DELTA_START,
                delta_min: float = DELTA_MIN):
     """Coordinate-pair mass transfer: move delta between atom pairs while
-    it improves the objective, halving delta down to delta_min."""
+    it improves the objective, halving delta down to delta_min > 0.
+
+    The neighbourhood is batched but the climb is first-improvement in
+    the order of a double loop over sources i and targets j != i. For
+    one source, the targets are scored as (B, dims) candidate batches of
+    at most BATCH_CELLS cells; the first j that improves is taken and
+    the next batch starts at j + 1 on the new vector. `evals` counts the
+    candidates the double loop would score: each batch up to and
+    including its accepted move, or all of it when none improves.
+    """
+    if not delta_min > 0.0:
+        raise ScanError(f"delta_min must be > 0, got {delta_min}")
     vec = vec.astype(float).copy()
     val = objective(vec)
     dims = vec.shape[0]
+    rows = max(1, BATCH_CELLS // dims)
     evals = 1
     delta = delta_start
     while delta >= delta_min:
@@ -192,23 +219,27 @@ def hill_climb(vec: np.ndarray, objective, delta_start: float = DELTA_START,
         while improved:
             improved = False
             for i in range(dims):
-                if vec[i] <= 0.0:
-                    continue
-                step = min(delta, vec[i])
-                for j in range(dims):
-                    if j == i:
-                        continue
-                    cand = vec.copy()
-                    cand[i] -= step
-                    cand[j] += step
+                start = 0
+                while vec[i] > 0.0:
+                    targets = np.arange(start, dims)
+                    targets = targets[targets != i][:rows]
+                    if not targets.size:
+                        break
+                    step = min(delta, vec[i])
+                    cand = np.repeat(vec[np.newaxis], targets.size, axis=0)
+                    cand[:, i] -= step
+                    cand[np.arange(targets.size), targets] += step
                     cv = objective(cand)
-                    evals += 1
-                    if cv > val + 1e-14:
-                        vec, val = cand, cv
-                        improved = True
-                        step = min(delta, vec[i])
-                        if step <= 0.0:
-                            break
+                    better = np.flatnonzero(cv > val + 1e-14)
+                    if not better.size:
+                        evals += targets.size
+                        start = int(targets[-1]) + 1
+                        continue
+                    r = int(better[0])
+                    evals += r + 1
+                    vec, val = cand[r], float(cv[r])
+                    improved = True
+                    start = int(targets[r]) + 1
         delta /= 2.0
     return vec, val, evals
 
@@ -225,12 +256,15 @@ def local_search_max(
     """Best distribution over hill-climbing restarts; warm starts (dense
     vectors) are climbed first, then Dirichlet restarts from the seed."""
     measure = objective or cfg.measures[0]
-    f = make_objective(cfg.n, cfg.q, measure, base)
+    tally = Counter()
+    f = make_objective(cfg.n, cfg.q, measure, base, tally)
     rng = np.random.default_rng(cfg.seed)
     starts = [np.asarray(w, dtype=float) for w in (warm_starts or [])]
     need = max(restarts - len(starts), 0)
     if need:
         starts.extend(sample_matrix(rng, need, cfg.dims))
+    if not starts:
+        raise ScanError(f"search needs restarts >= 1 or a warm start, got restarts={restarts}")
     best_vec, best_val, total_evals = None, -math.inf, 0
     for start in starts:
         vec, val, evals = hill_climb(start, f, delta_start, delta_min)
@@ -246,6 +280,7 @@ def local_search_max(
         len(starts),
         total_evals,
         cfg.seed,
+        tally["ipf_unconverged"],
     )
 
 

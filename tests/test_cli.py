@@ -175,6 +175,42 @@ class TestScanCommand:
         assert (tmp_path / "search" / "search_best.csv").exists()
 
 
+    def test_readme_search_command(self, capsys):
+        assert main(["scan", "--n", "4", "--q", "2", "--mode", "search",
+                     "--objective", "c2", "--seed", "0", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == 5.000000000000004
+        assert payload["evaluations"] == 26286
+        assert payload["ipf_unconverged"] == 0
+
+    def test_search_ignores_unused_measures(self, capsys):
+        # the --measures default names c3, outside 1..n-1 for n = 3
+        assert main(["scan", "--n", "3", "--q", "2", "--mode", "search",
+                     "--objective", "c2", "--restarts", "1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["objective"] == "c2"
+        assert payload["value"] <= 2.0 + 1e-9
+
+    def test_search_warns_on_unconverged_ipf(self, capsys):
+        # the seed-0 d2 climb at n = 3 scores at least one batch whose
+        # IPF stops at the sweep cap
+        assert main(["scan", "--n", "3", "--q", "2", "--mode", "search",
+                     "--objective", "d2", "--restarts", "1"]) == 0
+        assert "IPF batches did not converge" in capsys.readouterr().out
+
+    def test_search_zero_restarts(self, capsys):
+        assert main(["scan", "--n", "3", "--q", "2", "--mode", "search",
+                     "--objective", "c1", "--restarts", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "restarts" in err
+        assert "Traceback" not in err
+
+    def test_search_bad_objective(self, capsys):
+        assert main(["scan", "--n", "3", "--q", "2", "--mode", "search",
+                     "--objective", "c3"]) == 1
+        assert "outside 1..2" in capsys.readouterr().err
+
+
 class TestMaximizerCommand:
     def test_n4_k2_certificate(self, capsys, rs_maximizer4):
         dist, cert = run_maximizer(4, 2)

@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohesionlab.cohesion import cohesion_k
 from cohesionlab.dist import (
@@ -167,6 +171,26 @@ class TestIO:
         to_json(parity3, path)
         back = from_json(path)
         assert back.atoms == parity3.atoms
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), q=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+           alpha=st.floats(0.01, 5.0))
+    def test_random_round_trips(self, n, q, seed, alpha):
+        # small alpha puts most of the mass on few atoms and leaves many
+        # tiny ones, so the text formats must carry every float exactly
+        rng = np.random.default_rng(seed)
+        support = int(rng.integers(1, q**n + 1))
+        cells = rng.choice(q**n, size=support, replace=False)
+        masses = rng.dirichlet(np.full(support, alpha))
+        vec = np.zeros(q**n)
+        vec[cells] = masses
+        p = from_dense(vec.tolist(), n, q)
+        with tempfile.TemporaryDirectory() as tmp:
+            to_csv(p, Path(tmp) / "d.csv")
+            to_json(p, Path(tmp) / "d.json")
+            for back in (from_csv(Path(tmp) / "d.csv"), from_json(Path(tmp) / "d.json")):
+                assert (back.n, back.q) == (n, q)
+                assert back.atoms == p.atoms
 
     def test_csv_comments_and_q_metadata(self, tmp_path):
         path = tmp_path / "d.csv"

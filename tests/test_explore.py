@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from cohesionlab import explore
 from cohesionlab.cohesion import cohesion_k, constant_bound
 from cohesionlab.dist import JointDistribution, to_dense
 from cohesionlab.errors import ScanError
@@ -24,6 +26,41 @@ from cohesionlab.explore import (
 )
 from cohesionlab.maxent import check_eq4_bound
 from conftest import random_distribution
+
+
+def scalar_hill_climb(vec, objective, delta_start=explore.DELTA_START,
+                      delta_min=explore.DELTA_MIN):
+    """Reference climb: one objective call per (i, j) move, in double-loop
+    order, accepting the first move that improves."""
+    vec = vec.astype(float).copy()
+    val = objective(vec)
+    dims = vec.shape[0]
+    evals = 1
+    delta = delta_start
+    while delta >= delta_min:
+        improved = True
+        while improved:
+            improved = False
+            for i in range(dims):
+                if vec[i] <= 0.0:
+                    continue
+                step = min(delta, vec[i])
+                for j in range(dims):
+                    if j == i:
+                        continue
+                    cand = vec.copy()
+                    cand[i] -= step
+                    cand[j] += step
+                    cv = objective(cand)
+                    evals += 1
+                    if cv > val + 1e-14:
+                        vec, val = cand, cv
+                        improved = True
+                        step = min(delta, vec[i])
+                        if step <= 0.0:
+                            break
+        delta /= 2.0
+    return vec, val, evals
 
 
 class TestConfig:
@@ -160,6 +197,55 @@ class TestSearch:
         result = local_search_max(cfg, "c2", restarts=3, warm_starts=warm, base=2.0)
         assert result.value == pytest.approx(5.0, abs=1e-6)
 
+    def test_objective_batch_matches_rows(self):
+        rng = np.random.default_rng(89)
+        for measure in ("c1", "c2", "d1", "d2"):
+            f = make_objective(3, 3, measure)
+            P = sample_matrix(rng, 7, 27)
+            got = f(P)
+            assert got.shape == (7,)
+            # one row and a batch may take different BLAS products
+            assert got == pytest.approx([f(row) for row in P], abs=1e-12)
+
+    def test_delta_min_must_be_positive(self):
+        calls = []
+
+        def f(vecs):
+            # without the check delta never falls below 0.0: fail, not hang
+            calls.append(1)
+            assert len(calls) < 1000
+            return make_objective(2, 2, "c1")(vecs)
+
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ScanError, match="delta_min"):
+                hill_climb(np.full(4, 0.25), f, delta_min=bad)
+
+    def test_no_starts_rejected(self):
+        cfg = ScanConfig(3, 2, mode="search", measures=("c1",))
+        with pytest.raises(ScanError, match="restarts"):
+            local_search_max(cfg, restarts=0)
+        warm = [np.full(8, 0.125)]
+        assert local_search_max(cfg, restarts=0, warm_starts=warm).restarts == 1
+
+    def test_divergence_search_reports_converged_ipf(self):
+        cfg = ScanConfig(4, 2, mode="search", seed=4, measures=("d1",))
+        result = local_search_max(cfg, restarts=2, delta_min=2.0**-10)
+        assert result.evaluations > 1
+        assert result.ipf_unconverged == 0
+
+    def test_slow_ipf_target_counted(self):
+        # Pair marginals of uniform mass on {001, 010, 100} force a zero
+        # at 000 that no marginal has, so IPF converges only sublinearly.
+        start = np.zeros(8)
+        start[[1, 2, 4]] = 1.0 / 3.0
+        tally = Counter()
+        make_objective(3, 2, "d2", tally=tally)(start)
+        assert tally["ipf_unconverged"] == 1
+        cfg = ScanConfig(3, 2, mode="search", measures=("d2",))
+        result = local_search_max(cfg, restarts=1, warm_starts=[start],
+                                  delta_start=2.0**-6, delta_min=2.0**-6)
+        assert result.ipf_unconverged >= 1
+
     def test_search_result_distribution_consistent(self):
         cfg = ScanConfig(3, 2, mode="search", seed=5, measures=("c1",))
         result = local_search_max(cfg, restarts=2, base=2.0)
@@ -167,6 +253,61 @@ class TestSearch:
         assert cohesion_k(result.distribution, 1, 2.0) == pytest.approx(
             result.value, abs=1e-6
         )
+
+
+# (n, q, measure, base, delta_min)
+ORACLE_CASES = [
+    (4, 2, "c2", 2.0, 2.0**-12),
+    (3, 3, "c2", None, 2.0**-12),
+    (4, 3, "c2", None, 2.0**-8),
+    (4, 2, "c1", None, 2.0**-12),
+    (4, 2, "c3", 2.0, 2.0**-12),
+    (4, 2, "d1", None, 2.0**-12),
+]
+
+
+class TestBatchedClimb:
+    """The batched neighbourhood against the scalar double loop: same
+    vector, value and evaluation count, bit for bit."""
+
+    @pytest.mark.parametrize("n,q,measure,base,delta_min", ORACLE_CASES)
+    @pytest.mark.parametrize("seed", [5, 23])
+    def test_matches_scalar_climb(self, n, q, measure, base, delta_min, seed):
+        start = np.random.default_rng(seed).dirichlet(np.ones(q**n))
+        f = make_objective(n, q, measure, base)
+        want = scalar_hill_climb(start, f, delta_min=delta_min)
+        got = hill_climb(start, f, delta_min=delta_min)
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    @pytest.mark.parametrize("measure", ["c2", "d1"])
+    def test_split_batches_match(self, monkeypatch, rows, measure):
+        # a cap of a few rows splits every source's targets into chunks
+        start = np.random.default_rng(31).dirichlet(np.ones(16))
+        f = make_objective(4, 2, measure)
+        want = scalar_hill_climb(start, f, delta_min=2.0**-10)
+        monkeypatch.setattr(explore, "BATCH_CELLS", 16 * rows)
+        sizes = []
+
+        def batched(vecs):
+            sizes.append(np.atleast_2d(vecs).shape[0])
+            return f(vecs)
+
+        got = hill_climb(start, batched, delta_min=2.0**-10)
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+        assert max(sizes) == rows
+
+    def test_evaluations_count_candidates(self):
+        # no move from a point mass improves C1 at any delta, so every
+        # candidate of one source (the only nonzero atom) is scored
+        start = np.zeros(8)
+        start[3] = 1.0
+        f = make_objective(3, 2, "c1")
+        got = hill_climb(start, f, delta_start=0.5, delta_min=0.5)
+        want = scalar_hill_climb(start, f, delta_start=0.5, delta_min=0.5)
+        assert got[2] == want[2]
 
 
 class TestEmitScatter:

@@ -1,7 +1,10 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohesionlab.cohesion import cohesion_k
 from cohesionlab.dist import (
@@ -9,6 +12,7 @@ from cohesionlab.dist import (
     kl_divergence,
     marginalize,
     product_of_marginals,
+    indices_to_mask,
     subset_entropy,
     to_dense,
 )
@@ -38,6 +42,25 @@ class TestIPF:
                     b = marginalize(res.projection, mask)
                     for outcome, mass in a.atoms.items():
                         assert b.mass(outcome) == pytest.approx(mass, abs=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_every_k_marginal_preserved(self, shape, seed, data):
+        # full-support targets, so IPF converges geometrically; the
+        # marginals are checked through `marginalize`, not IPF's residual
+        n, q = shape
+        k = data.draw(st.integers(1, n - 1))
+        p = random_distribution(np.random.default_rng(seed), n, q)
+        res = maxent_projection(p, k)
+        assert res.converged
+        for subset in combinations(range(n), k):
+            mask = indices_to_mask(subset)
+            want = marginalize(p, mask)
+            got = marginalize(res.projection, mask)
+            assert set(got.atoms) == set(want.atoms)
+            for outcome, mass in want.atoms.items():
+                assert got.mass(outcome) == pytest.approx(mass, abs=1e-9)
 
     def test_parity_projects_to_uniform(self, parity3):
         # pair marginals of the parity table are uniform, so the order-2
