@@ -32,7 +32,7 @@ from .codes import (
 )
 from .dist import load, to_csv, to_json_dict
 from .errors import ToolError
-from .explore import ScanConfig, emit_scatter, grid_count, local_search_max
+from .explore import DEFAULT_SAMPLES, ScanConfig, emit_scatter, grid_count, local_search_max
 from .gf import emit_tables, field_json, is_prime_power, make_field
 from .matroid import (
     entropy_rank_report,
@@ -42,7 +42,7 @@ from .matroid import (
     matroid_json,
     uniform_representable_over,
 )
-from .maxent import projection_json
+from .maxent import DEFAULT_MAX_SWEEPS, DEFAULT_TOL, projection_json
 
 LARGE_GRID_WARN = 10**6
 
@@ -123,9 +123,8 @@ def cmd_matroid_from_dist(args) -> int:
     payload = matroid_json(view)
     payload["integer_valued"] = report.integer_valued
     payload["max_deviation"] = report.max_deviation
-    uniform_k = next(
-        (k for k in range(p.n + 1) if is_isomorphic_uniform(view, k)), None
-    )
+    rank = view.ranks[-1]  # U_{k,n} has r(E) = k, so only k = r(E) can match
+    uniform_k = rank if is_isomorphic_uniform(view, rank) else None
     payload["uniform_k"] = uniform_k
     lines = [
         f"ground size {view.ground_size}, {len(view.independents)} independent sets",
@@ -282,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maxent", help="max-entropy projection and divergence bound")
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-sweeps", type=int, default=10_000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
     add_json(p)
     p.set_defaults(func=cmd_maxent)
 
@@ -324,14 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--mode", choices=["grid", "random", "search"], default="random")
     p.add_argument("--resolution", type=int, default=6)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--measures", default="c1,c2,c3")
     p.add_argument("--objective", default=None, help="measure id for search mode")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--out", default=None)
     p.add_argument("--allow-large", action="store_true",
-                   help="permit grid scans above 1e6 points")
+                   help=f"permit grid scans above {LARGE_GRID_WARN:,} points")
     add_json(p)
     p.set_defaults(func=cmd_scan)
 

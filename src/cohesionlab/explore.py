@@ -19,7 +19,7 @@ import numpy as np
 from .cohesion import constant_bound
 from .dist import JointDistribution, from_dense, order_entropies
 from .errors import ScanError
-from .maxent import batch_divergence, ipf_project_batch
+from .maxent import DEFAULT_MAX_SWEEPS, DEFAULT_TOL, batch_divergence, ipf_project_batch
 
 GRID_POINT_LIMIT = 10**8
 DEFAULT_SAMPLES = 100_000
@@ -136,8 +136,8 @@ def batch_cohesion_all(P: np.ndarray, n: int, q: int, base: float | None = None)
 
 
 def batch_measure(P: np.ndarray, n: int, q: int, measure: str,
-                  base: float | None = None, tol: float = 1e-10,
-                  max_sweeps: int = 10_000) -> np.ndarray:
+                  base: float | None = None, tol: float = DEFAULT_TOL,
+                  max_sweeps: int = DEFAULT_MAX_SWEEPS) -> np.ndarray:
     kind, k = parse_measure(measure, n)
     b = float(q if base is None else base)
     if kind == "c":

@@ -1,9 +1,10 @@
 """Matroids from entropy functions, matrices, and uniform-matroid probes.
 
-A distribution whose subset entropies (base q) are integers bounded by
-cardinality defines a matroid whose independent sets are the subsets S
-with H(S) = |S|. The same independence structure can come from matrix
-columns over a finite field. The uniform matroid U_{k,n} is
+A matroid is carried as its rank function, a table indexed by subset
+mask. A distribution whose subset entropies (base q) are integers
+bounded by cardinality gives one, with r(S) = H(S); so do the column
+ranks of a matrix over a finite field, and U_{k,n} is r(S) = min(|S|, k).
+The independent sets are the S with r(S) = |S|. The uniform matroid is
 represented over GF(q) in closed form by a shortened or doubly extended
 Reed-Solomon code whenever n <= q+1. Beyond that, classical theorems on
 MDS codes decide it: they give the parity code or the hyperoval and its
@@ -14,6 +15,7 @@ outside them are reported "undecided". No search runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -25,7 +27,7 @@ from .gf import FieldSpec, column_subset_ranks
 
 INTEGER_TOL = 1e-6
 NEAR_MATROID_TOL = 1e-3
-AXIOM_CHECK_LIMIT = 12
+MAX_GROUND = 20  # rank tables hold 2^n entries
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,13 @@ class RankReport:
 @dataclass(frozen=True)
 class MatroidView:
     ground_size: int
-    independents: frozenset  # subset masks
+    ranks: tuple  # integer rank indexed by subset mask
     origin: str  # "entropy" | "vector" | "uniform"
+
+    @cached_property
+    def independents(self) -> frozenset:
+        """Subset masks whose rank equals their cardinality."""
+        return frozenset(m for m, r in enumerate(self.ranks) if r == m.bit_count())
 
 
 def _rank_report_from_values(n: int, values) -> RankReport:
@@ -60,18 +67,26 @@ def _rank_report_from_values(n: int, values) -> RankReport:
 
 def entropy_rank_report(p: JointDistribution) -> RankReport:
     """Rank candidate from all 2^n subset entropies of p, base q."""
-    if p.n > 20:
-        raise MatroidError("rank report limited to n <= 20")
     return _rank_report_from_values(p.n, entropy_table(p, p.q))
 
 
-def _ranks_by_mask(field: FieldSpec, matrix, n: int, max_size: int) -> np.ndarray:
-    """Column-submatrix rank indexed by subset mask, one batch per subset
-    size up to max_size; larger subsets are left at 0."""
+def _matrix_ranks(field: FieldSpec, matrix, n: int) -> np.ndarray:
+    """Column-submatrix rank indexed by subset mask.
+
+    Subsets with at most as many columns as the matrix has rows are
+    ranked in one batch per size. A larger subset is dependent, so its
+    rank is the largest rank among its subsets: one subset-max pass per
+    column fills it exactly.
+    """
+    if n > MAX_GROUND:
+        raise MatroidError(f"rank table limited to {MAX_GROUND} elements, got {n}")
     ranks = np.zeros(1 << n, dtype=np.int64)
-    for size in range(1, max_size + 1):
+    for size in range(1, min(len(matrix), n) + 1):
         masks = [sum(1 << j for j in s) for s in combinations(range(n), size)]
         ranks[masks] = column_subset_ranks(field, matrix, size)
+    for j in range(n):
+        pairs = ranks.reshape(-1, 2, 1 << j)  # [.., 0, ..] lacks column j
+        np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
     return ranks
 
 
@@ -79,62 +94,40 @@ def code_rank_report(code) -> RankReport:
     """Rank candidate for a code's uniform distribution without enumerating
     codewords: each marginal is uniform over the image of a linear map, so
     its base-q entropy equals the column-submatrix rank."""
-    ranks = _ranks_by_mask(code.field, code.generator, code.n, code.n)
+    ranks = _matrix_ranks(code.field, code.generator, code.n)
     return _rank_report_from_values(code.n, ranks.astype(float).tolist())
 
 
 def matroid_from_ranks(r: RankReport, verify: bool = True) -> MatroidView:
-    """Independent sets are the masks with rank equal to cardinality."""
+    """The matroid whose rank function is r rounded to integers."""
     if not r.integer_valued:
         raise MatroidError("not a matroid rank function: entropies are not "
                            f"integer-valued (max deviation {r.max_deviation:.3g})")
-    independents = frozenset(
-        mask
-        for mask, h in enumerate(r.ranks)
-        if abs(h - mask.bit_count()) <= INTEGER_TOL
-    )
-    view = MatroidView(r.n, independents, "entropy")
-    if verify and r.n <= AXIOM_CHECK_LIMIT and not check_axioms(view):
-        raise MatroidError("internal consistency failure: derived independence "
-                           "family violates the matroid axioms")
+    view = MatroidView(r.n, tuple(round(h) for h in r.ranks), "entropy")
+    if verify and not check_axioms(view):
+        raise MatroidError("internal consistency failure: derived rank function "
+                           "violates the matroid rank axioms")
     return view
 
 
 def check_axioms(view: MatroidView) -> bool:
-    """Exhaustive verification of the three matroid axioms.
+    """Exhaustive check of the rank axioms (Oxley, Matroid Theory, 1.3).
 
-    Augmentation is checked for cardinality gaps of exactly one, which
-    implies the general exchange property by iteration.
+    r(empty) = 0, 0 <= r(S+e) - r(S) <= 1, and the local submodular
+    inequality r(S+e) + r(S+f) >= r(S+e+f) + r(S) for every S, e, f;
+    the local forms imply the global ones.
     """
-    ind = view.independents
-    if 0 not in ind:
+    n = view.ground_size
+    if len(view.ranks) != 1 << n or view.ranks[0] != 0:
         return False
-    for s in ind:
-        rest = s
-        while rest:
-            bit = rest & -rest
-            if (s ^ bit) not in ind:
-                return False
-            rest ^= bit
-    by_size: dict = {}
-    for s in ind:
-        by_size.setdefault(s.bit_count(), []).append(s)
-    full = (1 << view.ground_size) - 1
-    for size, smaller in sorted(by_size.items()):
-        larger = by_size.get(size + 1, [])
-        for s1 in smaller:
-            for s2 in larger:
-                extra = s2 & ~s1 & full
-                ok = False
-                rest = extra
-                while rest:
-                    bit = rest & -rest
-                    if (s1 | bit) in ind:
-                        ok = True
-                        break
-                    rest ^= bit
-                if not ok:
-                    return False
+    # axis n-1-e of the cube indexes element e of the mask
+    cube = np.asarray(view.ranks, dtype=np.int64).reshape((2,) * n)
+    for a in range(n):
+        step = np.diff(cube, axis=a)  # r(S+e) - r(S)
+        if step.min() < 0 or step.max() > 1:
+            return False
+        if any(np.diff(step, axis=b).max() > 0 for b in range(a + 1, n)):
+            return False
     return True
 
 
@@ -142,23 +135,17 @@ def vector_matroid(field: FieldSpec, matrix) -> MatroidView:
     """Matroid of linearly independent column subsets of a matrix."""
     rows = [list(r) for r in matrix]
     ncols = len(rows[0]) if rows else 0
-    if ncols > 20:
-        raise MatroidError("vector matroid limited to 20 columns")
-    ranks = _ranks_by_mask(field, rows, ncols, min(len(rows), ncols)).tolist()
-    independents = frozenset(m for m, r in enumerate(ranks) if r == m.bit_count())
-    return MatroidView(ncols, independents, "vector")
+    return MatroidView(ncols, tuple(_matrix_ranks(field, rows, ncols).tolist()), "vector")
 
 
 def uniform_matroid(k: int, n: int) -> MatroidView:
-    independents = frozenset(
-        mask for mask in range(1 << n) if mask.bit_count() <= k
-    )
-    return MatroidView(n, independents, "uniform")
+    ranks = tuple(min(mask.bit_count(), k) for mask in range(1 << n))
+    return MatroidView(n, ranks, "uniform")
 
 
 def is_isomorphic_uniform(m: MatroidView, k: int) -> bool:
-    """U_{k,n} is fully symmetric, so set equality decides isomorphism."""
-    return m.independents == uniform_matroid(k, m.ground_size).independents
+    """U_{k,n} is fully symmetric, so equal rank functions decide isomorphism."""
+    return m.ranks == uniform_matroid(k, m.ground_size).ranks
 
 
 # ---------------------------------------------------------------------------

@@ -164,8 +164,9 @@ def test_criterion_07_theorem_chain(capsys):
     # columns: if each has rank k, monotonicity and submodularity of
     # matroid rank force rank(A) = min(|A|, k) for every column subset,
     # which is exactly the U_{k,q} rank function shared by the vector
-    # matroid and the entropy matroid of the code distribution. Small
-    # alphabets additionally get the fully exhaustive extraction and an
+    # matroid and the entropy matroid of the code distribution. Every q
+    # also gets the exhaustive rank table, checked against the rank
+    # axioms; small alphabets add the vector-matroid comparison and an
     # atom-level entropy cross-check.
     start = time.perf_counter()
     failures = []
@@ -180,11 +181,11 @@ def test_criterion_07_theorem_chain(capsys):
             value = sum(kranks) - comb(q - 1, k - 1) * k
             if abs(value - constant_bound(q, k)) > 1e-9:
                 failures.append((q, k, "cohesion != constant bound"))
+            rep = code_rank_report(code)
+            view = matroid_from_ranks(rep, verify=True)
+            if not is_isomorphic_uniform(view, k):
+                failures.append((q, k, "entropy matroid != U_{k,q}"))
             if q <= 9:  # exhaustive three-way extraction
-                rep = code_rank_report(code)
-                view = matroid_from_ranks(rep, verify=True)
-                if not is_isomorphic_uniform(view, k):
-                    failures.append((q, k, "entropy matroid != U_{k,q}"))
                 vec_view = vector_matroid(field, code.generator)
                 if vec_view.independents != view.independents:
                     failures.append((q, k, "vector matroid != entropy matroid"))

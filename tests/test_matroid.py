@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohesionlab.codes import (
     LinearCode,
@@ -14,6 +16,8 @@ from cohesionlab.dist import JointDistribution
 from cohesionlab.errors import MatroidError, SearchBudgetExceeded
 from cohesionlab.gf import is_prime_power, make_field, matrix_rank
 from cohesionlab.matroid import (
+    MatroidView,
+    RankReport,
     check_axioms,
     code_rank_report,
     entropy_rank_report,
@@ -170,6 +174,68 @@ class TestMatroidFromRanks:
             assert not is_isomorphic_uniform(view, k)
 
 
+def augmentation_oracle(n, family):
+    """Reference check of the independent-set axioms on a family of
+    subset masks: the empty set is in it, it is closed under subsets, and
+    any member can be augmented from a member one larger. Augmentation
+    for size gaps of exactly one implies the general exchange property by
+    iteration."""
+    if 0 not in family:
+        return False
+    for s in family:
+        rest = s
+        while rest:
+            bit = rest & -rest
+            if (s ^ bit) not in family:
+                return False
+            rest ^= bit
+    by_size = {}
+    for s in family:
+        by_size.setdefault(s.bit_count(), []).append(s)
+    full = (1 << n) - 1
+    for size, smaller in sorted(by_size.items()):
+        larger = by_size.get(size + 1, [])
+        for s1 in smaller:
+            for s2 in larger:
+                extra = s2 & ~s1 & full
+                ok = False
+                rest = extra
+                while rest:
+                    bit = rest & -rest
+                    if (s1 | bit) in family:
+                        ok = True
+                        break
+                    rest ^= bit
+                if not ok:
+                    return False
+    return True
+
+
+def family_ranks(n, family):
+    """r_F(S) = max{|I| : I subset of S, I in F}, 0 when no member fits."""
+    return tuple(
+        max((i.bit_count() for i in family if i & ~s == 0), default=0)
+        for s in range(1 << n)
+    )
+
+
+@st.composite
+def small_families(draw):
+    """A family of subset masks on n <= 5 elements: an arbitrary set of
+    masks, or the subsets of a few masks (often a matroid), optionally
+    with one mask toggled."""
+    n = draw(st.integers(0, 5))
+    masks = st.integers(0, (1 << n) - 1)
+    if draw(st.booleans()):
+        family = draw(st.sets(masks))
+    else:
+        tops = draw(st.lists(masks, min_size=1, max_size=3))
+        family = {s for s in range(1 << n) if any(s & ~t == 0 for t in tops)}
+    if draw(st.booleans()):
+        family ^= {draw(masks)}
+    return n, frozenset(family)
+
+
 class TestAxioms:
     def test_uniform_passes(self):
         for n in range(1, 8):
@@ -177,21 +243,39 @@ class TestAxioms:
                 assert check_axioms(uniform_matroid(k, n))
 
     def test_missing_empty_set_fails(self):
-        from cohesionlab.matroid import MatroidView
-
-        assert not check_axioms(MatroidView(2, frozenset({1, 2}), "vector"))
+        # r(empty) = 1: the empty set is not independent
+        assert not check_axioms(MatroidView(2, (1, 1, 1, 1), "vector"))
 
     def test_not_downward_closed_fails(self):
-        from cohesionlab.matroid import MatroidView
+        # the family {{}, {0, 1}}: adding one element raises the rank by 2
+        assert not check_axioms(MatroidView(2, (0, 0, 0, 2), "vector"))
 
-        assert not check_axioms(MatroidView(2, frozenset({0, 3}), "vector"))
+    def test_rank_above_cardinality_fails(self):
+        # no family gives this: r_F(S) <= |S|
+        assert not check_axioms(MatroidView(1, (0, 2), "vector"))
 
     def test_exchange_failure_detected(self):
-        from cohesionlab.matroid import MatroidView
+        # the family {{}, {0}, {1}, {2}, {0,1}}: {0,1} cannot augment {2},
+        # so r({0,2}) + r({1,2}) = 2 < r({0,1,2}) + r({2}) = 3
+        ranks = (0, 1, 1, 2, 1, 1, 1, 2)
+        assert not check_axioms(MatroidView(3, ranks, "vector"))
 
-        # {1,2} independent but neither {1,3} nor {2,3} can augment {3}
-        family = frozenset({0, 0b001, 0b010, 0b100, 0b011})
-        assert not check_axioms(MatroidView(3, family, "vector"))
+    @settings(max_examples=300, deadline=None)
+    @given(case=small_families())
+    def test_rank_axioms_agree_with_family_oracle(self, case):
+        n, family = case
+        view = MatroidView(n, family_ranks(n, family), "vector")
+        assert augmentation_oracle(n, family) == (
+            check_axioms(view) and view.independents == family
+        )
+
+    def test_verify_covers_ground_sets_above_twelve(self):
+        n = 13
+        ranks = list(uniform_matroid(2, n).ranks)
+        ranks[0b111] = 3  # r({0,1,2}) = 3 > r({0,1,2,3}) = 2
+        report = RankReport(n, tuple(map(float, ranks)), True, 0.0, False)
+        with pytest.raises(MatroidError, match="rank axioms"):
+            matroid_from_ranks(report)
 
     def test_entropy_matroids_pass_axioms(self):
         rng = np.random.default_rng(29)
@@ -199,12 +283,8 @@ class TestAxioms:
             # uniform distributions over random binary linear codes
             k, n = 2, 4
             rows = rng.integers(0, 2, size=(k, n))
-            from cohesionlab.gf import matrix_rank
-
             if matrix_rank(GF2, rows.tolist()) != k:
                 continue
-            from cohesionlab.codes import LinearCode
-
             d = code_to_distribution(LinearCode.from_rows(GF2, rows.tolist()))
             view = matroid_from_ranks(entropy_rank_report(d))
             assert check_axioms(view)
@@ -224,6 +304,35 @@ class TestVectorMatroid:
     def test_zero_matrix(self):
         view = vector_matroid(GF2, [[0, 0], [0, 0]])
         assert view.independents == frozenset({0})
+
+    @settings(max_examples=80, deadline=None)
+    @given(q=st.sampled_from((2, 3, 4, 5)), rows=st.integers(1, 3), data=st.data())
+    def test_rank_table_matches_reference_rank(self, q, rows, data):
+        # zero and repeated columns make subsets above `rows` columns
+        # whose rank the subset-max fill has to find below rows
+        cols = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            kind = data.draw(st.sampled_from(("random", "zero", "repeat")))
+            if kind == "zero":
+                cols.append([0] * rows)
+            elif kind == "repeat" and cols:
+                cols.append(data.draw(st.sampled_from(cols)))
+            else:
+                cols.append(data.draw(st.lists(st.integers(0, q - 1),
+                                               min_size=rows, max_size=rows)))
+        matrix = [[c[i] for c in cols] for i in range(rows)]
+        f = _field(q)
+        ranks = vector_matroid(f, matrix).ranks
+        for mask in range(1 << len(cols)):
+            sub = [[c[i] for j, c in enumerate(cols) if mask >> j & 1] for i in range(rows)]
+            assert ranks[mask] == matrix_rank(f, sub), (mask, matrix)
+
+    def test_rank_tables_capped_at_twenty_elements(self):
+        # an RS code over GF(32) has 32 columns: 2^32 table entries
+        with pytest.raises(MatroidError, match="limited to 20"):
+            code_rank_report(rs_generator(make_field(2, 5), 2))
+        with pytest.raises(MatroidError, match="limited to 20"):
+            vector_matroid(GF2, [[1] * 21])
 
 
 class TestRepresentability:
