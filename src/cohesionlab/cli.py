@@ -199,9 +199,11 @@ def cmd_scan(args) -> int:
         raise ToolError("grid/random scans require --out DIR")
     summary = emit_scatter(cfg, args.out)
     summary["threads"] = 1
-    _emit(summary, args.json,
-          [f"scanned {summary['points']} points -> {summary['out']}",
-           *(f"max {m} = {v:.9g}" for m, v in summary["maxima"].items())])
+    lines = [f"scanned {summary['points']} points -> {summary['out']}",
+             *(f"max {m} = {v:.9g}" for m, v in summary["maxima"].items())]
+    if summary["ipf_unconverged"]:
+        lines.append(f"warning: {summary['ipf_unconverged']} IPF batches did not converge")
+    _emit(summary, args.json, lines)
     return 0
 
 

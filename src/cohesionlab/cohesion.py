@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, replace
 from math import comb
 
+import numpy as np
+
 from .dist import JointDistribution, _log_base, order_entropies
 from .errors import DistributionError
 
@@ -27,12 +29,26 @@ def constant_bound(n: int, k: int) -> float:
     return float(k * comb(n - 1, k))
 
 
+def cohesion_orders(x, orders, base: float | None = None) -> np.ndarray:
+    """Cohesion-k for each k in `orders`: the sum of k-subset entropies
+    minus C(n-1,k-1) H(X), from one `order_entropies` pass.
+
+    Like that kernel, a JointDistribution gives shape (len(orders),) and a
+    dense batch of shape (N, q, ..., q) gives shape (N, len(orders)).
+    """
+    orders = tuple(orders)
+    n = x.n if isinstance(x, JointDistribution) else x.ndim - 1
+    for k in orders:
+        if not 1 <= k <= n - 1:
+            raise DistributionError(f"interaction order k={k} outside 1..{n - 1}")
+    h = order_entropies(x, orders + (n,), base)
+    weights = np.array([comb(n - 1, k - 1) for k in orders], dtype=float)
+    return h[..., :-1] - weights * h[..., -1:]
+
+
 def cohesion_k(p: JointDistribution, k: int, base: float | None = None) -> float:
     """Cohesion-k of p: sum of k-subset entropies minus C(n-1,k-1) H(X)."""
-    if not 1 <= k <= p.n - 1:
-        raise DistributionError(f"interaction order k={k} outside 1..{p.n - 1}")
-    h_k, h_joint = order_entropies(p, (k, p.n), base)
-    return float(h_k - comb(p.n - 1, k - 1) * h_joint)
+    return float(cohesion_orders(p, (k,), base)[0])
 
 
 @dataclass(frozen=True)
@@ -67,8 +83,7 @@ def cohesion_profile(p: JointDistribution, base: float | None = None) -> Cohesio
     """Evaluate every Cohesion order from a single subset-entropy pass."""
     if p.n < 2:
         raise DistributionError("cohesion profile needs at least two variables")
-    sums = order_entropies(p, range(1, p.n + 1))
-    values = tuple(float(sums[k - 1] - comb(p.n - 1, k - 1) * sums[-1]) for k in range(1, p.n))
+    values = tuple(cohesion_orders(p, range(1, p.n)).tolist())
     bounds = tuple(constant_bound(p.n, k) for k in range(1, p.n))
     slack = tuple(bd - v for bd, v in zip(bounds, values))
     return CohesionProfile(p.n, p.q, float(p.q), values, bounds, slack).rebase(base)

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 
 import numpy as np
 
-from .cohesion import constant_bound
+from .cohesion import cohesion_orders, constant_bound
 from .dist import JointDistribution, from_dense, order_entropies
 from .errors import ScanError
 from .maxent import DEFAULT_MAX_SWEEPS, DEFAULT_TOL, batch_divergence, ipf_project_batch
@@ -119,32 +120,24 @@ def random_sample(cfg: ScanConfig):
 # ---------------------------------------------------------------------------
 
 def batch_subset_entropies(P: np.ndarray, n: int, q: int, k: int, base: float) -> np.ndarray:
-    """Sum over all k-subsets of marginal entropies; P is (N, q^n)."""
+    """Sum over all k-subsets of marginal entropies; P is (N, q^n). No
+    library code calls it; it stays while bench/tracing.py traces it."""
     return order_entropies(P.reshape((P.shape[0],) + (q,) * n), (k,), base)[:, 0]
-
-
-def batch_cohesion(P: np.ndarray, n: int, q: int, k: int, base: float | None = None) -> np.ndarray:
-    """Cohesion-k for each row of a dense (N, q^n) batch."""
-    joint = order_entropies(P.reshape((P.shape[0],) + (q,) * n), (n,), base)[:, 0]
-    return batch_subset_entropies(P, n, q, k, base) - comb(n - 1, k - 1) * joint
 
 
 def batch_cohesion_all(P: np.ndarray, n: int, q: int, base: float | None = None) -> np.ndarray:
     """(N, n-1) array with column k-1 holding Cohesion-k per row."""
-    h = order_entropies(P.reshape((P.shape[0],) + (q,) * n), range(1, n + 1), base)
-    return h[:, :-1] - np.array([comb(n - 1, k - 1) for k in range(1, n)]) * h[:, -1:]
+    return cohesion_orders(P.reshape((P.shape[0],) + (q,) * n), range(1, n), base)
 
 
-def batch_measure(P: np.ndarray, n: int, q: int, measure: str,
-                  base: float | None = None, tol: float = DEFAULT_TOL,
-                  max_sweeps: int = DEFAULT_MAX_SWEEPS) -> np.ndarray:
-    kind, k = parse_measure(measure, n)
-    b = float(q if base is None else base)
-    if kind == "c":
-        return batch_cohesion(P, n, q, k, b)
-    cube = P.reshape((P.shape[0],) + (q,) * n)
-    proj, _, _ = ipf_project_batch(cube, k, tol, max_sweeps)
-    return batch_divergence(cube, proj, b)
+def _divergences(cube: np.ndarray, k: int, base: float, tol: float, max_sweeps: int,
+                 tally: Counter | None = None) -> np.ndarray:
+    """D(p || p^(k)) per row of a (N, q, ..., q) batch. A batch whose IPF
+    stops at residual >= tol adds 1 to tally["ipf_unconverged"]."""
+    proj, _, residual = ipf_project_batch(cube, k, tol, max_sweeps)
+    if tally is not None and not residual < tol:
+        tally["ipf_unconverged"] += 1
+    return batch_divergence(cube, proj, base)
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +166,12 @@ def make_objective(n: int, q: int, measure: str, base: float | None = None,
     """
     kind, k = parse_measure(measure, n)
     b = float(q if base is None else base)
-    coeff = comb(n - 1, k - 1)
 
     def values(batch: np.ndarray) -> np.ndarray:
         cube = batch.reshape((batch.shape[0],) + (q,) * n)
         if kind == "c":
-            h = order_entropies(cube, (k, n), b)
-            return h[:, 0] - coeff * h[:, 1]
-        proj, _, residual = ipf_project_batch(cube, k, IPF_TOL, IPF_MAX_SWEEPS)
-        if tally is not None and not residual < IPF_TOL:
-            tally["ipf_unconverged"] += 1
-        return batch_divergence(cube, proj, b)
+            return cohesion_orders(cube, (k,), b)[:, 0]
+        return _divergences(cube, k, b, IPF_TOL, IPF_MAX_SWEEPS, tally)
 
     def objective(vecs: np.ndarray):
         vecs = np.asarray(vecs, dtype=float)
@@ -309,60 +297,48 @@ def emit_scatter(cfg: ScanConfig, out_dir, chunk: int = 4096) -> dict:
     """Write scatter + overlay CSVs for a scan; returns a summary.
 
     scatter.csv holds one row per scanned point with the requested
-    measures in base-q units. Overlay files carry the bound lines:
-    adjacent-order rays y = ((n-k)/k) x, the constant ceilings, and the
-    divergence-bound diagonal y = x.
+    measures in base-q units, computed in batches of `chunk` points.
+    Overlay files carry the bound lines: adjacent-order rays
+    y = ((n-k)/k) x, the constant ceilings, and the divergence-bound
+    diagonal y = x. The summary's ipf_unconverged counts the divergence
+    batches whose IPF hit DEFAULT_MAX_SWEEPS before reaching DEFAULT_TOL.
     """
     from pathlib import Path
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if chunk < 1:
+        raise ScanError(f"chunk must be >= 1, got {chunk}")
     n, q = cfg.n, cfg.q
-
     if cfg.mode == "grid":
-        stream = grid_vectors(cfg)
+        vectors = grid_vectors(cfg)
+        batches = map(np.array, iter(lambda: list(islice(vectors, chunk)), []))
     elif cfg.mode == "random":
         rng = np.random.default_rng(cfg.seed)
-
-        def _gen():
-            left = cfg.sample_count
-            while left > 0:
-                take = min(chunk, left)
-                yield from sample_matrix(rng, take, cfg.dims)
-                left -= take
-
-        stream = _gen()
+        batches = (sample_matrix(rng, min(chunk, cfg.sample_count - start), cfg.dims)
+                   for start in range(0, cfg.sample_count, chunk))
     else:
         raise ScanError("emit_scatter supports grid and random modes")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
+    parsed = [parse_measure(m, n) for m in cfg.measures]
+    c_orders = tuple(dict.fromkeys(k for kind, k in parsed if kind == "c"))
+    tally = Counter()
     count = 0
     maxima = {m: -math.inf for m in cfg.measures}
-    scatter_path = out / "scatter.csv"
-    with scatter_path.open("w") as fh:
+    with (out / "scatter.csv").open("w") as fh:
         fh.write("\n".join(_metadata_lines(cfg)) + "\n")
         fh.write("index," + ",".join(cfg.measures) + "\n")
-        batch = []
-        index = 0
-
-        def flush():
-            nonlocal index, count
-            if not batch:
-                return
-            P = np.stack(batch)
-            cols = [batch_measure(P, n, q, m) for m in cfg.measures]
+        for P in batches:
+            cube = P.reshape((P.shape[0],) + (q,) * n)
+            cvals = cohesion_orders(cube, c_orders, float(q)) if c_orders else None
+            cols = [cvals[:, c_orders.index(k)] if kind == "c" else
+                    _divergences(cube, k, float(q), DEFAULT_TOL, DEFAULT_MAX_SWEEPS, tally)
+                    for kind, k in parsed]
             for m, col in zip(cfg.measures, cols):
                 maxima[m] = max(maxima[m], float(col.max()))
-            for row in zip(*cols):
+            for index, row in enumerate(zip(*cols), count):
                 fh.write(f"{index}," + ",".join(f"{v:.12g}" for v in row) + "\n")
-                index += 1
             count += P.shape[0]
-            batch.clear()
-
-        for vec in stream:
-            batch.append(vec)
-            if len(batch) >= chunk:
-                flush()
-        flush()
 
     with (out / "overlay_eq1.csv").open("w") as fh:
         fh.write("\n".join(_metadata_lines(cfg, {"overlay": "adjacent-order rays"})) + "\n")
@@ -379,4 +355,5 @@ def emit_scatter(cfg: ScanConfig, out_dir, chunk: int = 4096) -> dict:
         fh.write("slope,intercept\n")
         fh.write("1,0\n")
 
-    return {"points": count, "maxima": maxima, "out": str(out)}
+    return {"points": count, "maxima": maxima,
+            "ipf_unconverged": tally["ipf_unconverged"], "out": str(out)}

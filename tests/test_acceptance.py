@@ -24,10 +24,10 @@ from cohesionlab.cohesion import cohesion_k, cohesion_profile, constant_bound
 from cohesionlab.dist import JointDistribution, to_dense
 from cohesionlab.explore import (
     ScanConfig,
-    batch_cohesion,
     batch_cohesion_all,
     emit_scatter,
     local_search_max,
+    make_objective,
     sample_matrix,
 )
 from cohesionlab.gf import (
@@ -98,7 +98,7 @@ def test_criterion_02_binary_peak_and_gap(capsys):
     start = time.perf_counter()
     rng = np.random.default_rng(0)
     P = sample_matrix(rng, 100_000, 16)
-    scan_vals = batch_cohesion(P, 4, 2, 2, 2.0)
+    scan_vals = make_objective(4, 2, "c2", 2.0)(P)
     warm = [P[i] for i in np.argsort(scan_vals)[-3:]]
     cfg = ScanConfig(4, 2, mode="search", seed=0, measures=("c2",))
     result = local_search_max(cfg, "c2", restarts=3, warm_starts=warm, base=2.0)

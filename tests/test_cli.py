@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cohesionlab import explore
 from cohesionlab.cli import main, run_maximizer
 from cohesionlab.dist import from_csv, to_csv
 from conftest import RS4_ATOMS
@@ -152,6 +153,15 @@ class TestScanCommand:
         assert payload["points"] == 50
         assert (tmp_path / "scan" / "scatter.csv").exists()
         assert (tmp_path / "scan" / "overlay_eq1.csv").exists()
+
+    def test_random_scan_reports_unconverged_ipf(self, tmp_path, capsys, monkeypatch):
+        args = ["scan", "--n", "3", "--q", "2", "--mode", "random", "--samples", "5",
+                "--measures", "d2", "--out", str(tmp_path)]
+        assert main(args + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["ipf_unconverged"] == 0
+        monkeypatch.setattr(explore, "DEFAULT_MAX_SWEEPS", 1)
+        assert main(args) == 0
+        assert "warning: 1 IPF batches did not converge" in capsys.readouterr().out
 
     def test_random_scan_requires_out(self, capsys):
         assert main(["scan", "--n", "3", "--q", "2", "--mode", "random",

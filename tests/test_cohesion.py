@@ -10,6 +10,7 @@ from cohesionlab.cohesion import (
     check_polymatroid_bounds,
     check_quad_inequalities,
     cohesion_k,
+    cohesion_orders,
     cohesion_profile,
     constant_bound,
     profile_report,
@@ -22,6 +23,7 @@ from cohesionlab.dist import (
     marginalize,
     product_of_marginals,
     subset_entropy,
+    to_dense,
 )
 from cohesionlab.errors import DistributionError
 from conftest import random_distribution
@@ -144,6 +146,52 @@ class TestProfile:
             cohesion_profile(rs_maximizer4).rebase(base)
         with pytest.raises(DistributionError, match="log base must be > 1"):
             cohesion_profile(rs_maximizer4, base)
+
+
+def sparse_distribution(rng, n, q):
+    """Dirichlet masses on a random subset of the q^n outcomes."""
+    support = int(rng.integers(1, q**n + 1))
+    outcomes = rng.choice(q**n, size=support, replace=False)
+    masses = rng.dirichlet(np.ones(support))
+    return JointDistribution(n, q, {tuple(int(s) for s in np.unravel_index(o, (q,) * n)): float(m)
+                                    for o, m in zip(outcomes, masses)})
+
+
+class TestCohesionOrders:
+    """The one Cohesion formula against sums of `subset_entropy`, on both
+    the sparse and the dense reduction."""
+
+    SHAPES = [(n, q) for n in range(2, 6) for q in (2, 3)]
+
+    @pytest.mark.parametrize("n,q", SHAPES)
+    @pytest.mark.parametrize("base", [None, 2.0])
+    def test_matches_reference_path(self, n, q, base):
+        rng = np.random.default_rng(1000 * n + q)
+        orders = tuple(rng.permutation(range(1, n)).tolist())
+        dists = [sparse_distribution(rng, n, q) for _ in range(4)]
+        cube = np.array([to_dense(p) for p in dists], dtype=float).reshape((4,) + (q,) * n)
+        dense = cohesion_orders(cube, orders, base)
+        assert dense.shape == (4, len(orders))
+        for p, row in zip(dists, dense):
+            got = cohesion_orders(p, orders, base)
+            assert got.shape == (len(orders),)
+            h = entropy(p, base)
+            for k, value in zip(orders, got):
+                subsets = sum(subset_entropy(p, indices_to_mask(idx), base)
+                              for idx in combinations(range(n), k))
+                assert value == pytest.approx(subsets - comb(n - 1, k - 1) * h, abs=1e-12)
+            assert np.abs(row - got).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [0, 3, -1])
+    def test_order_out_of_range(self, parity3, k):
+        with pytest.raises(DistributionError, match="outside 1..2"):
+            cohesion_orders(parity3, (1, k))
+        with pytest.raises(DistributionError, match="outside 1..2"):
+            cohesion_orders(np.full((2, 2, 2, 2), 0.125), (k,))
+
+    def test_no_orders(self, parity3):
+        assert cohesion_orders(parity3, ()).shape == (0,)
+        assert cohesion_orders(np.full((5, 2, 2, 2), 0.125), ()).shape == (5, 0)
 
 
 class TestConstantBound:

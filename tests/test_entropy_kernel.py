@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cohesionlab import dist
 from cohesionlab.codes import code_to_distribution, rs_generator
+from cohesionlab.cohesion import cohesion_orders
 from cohesionlab.dist import (
     JointDistribution,
     entropy_table,
@@ -20,7 +21,7 @@ from cohesionlab.dist import (
     subset_entropy,
 )
 from cohesionlab.errors import DistributionError
-from cohesionlab.explore import batch_cohesion, make_objective
+from cohesionlab.explore import make_objective
 from cohesionlab.gf import make_field
 
 TOL = 1e-9
@@ -135,7 +136,8 @@ def test_objective_equals_batch_row(seed, shape, data, base):
     k = data.draw(st.integers(1, n - 1))
     vec = dense_batch(seed, n, q, rows=1)[0]
     value = make_objective(n, q, f"c{k}", base)(vec)
-    assert value == pytest.approx(batch_cohesion(vec[np.newaxis], n, q, k, base)[0], abs=1e-12)
+    sparse = cohesion_orders(from_dense(vec.tolist(), n, q), (k,), base)
+    assert value == pytest.approx(sparse[0], abs=1e-12)
 
 
 def test_rs_gf9_sparse_far_above_dense_limit():

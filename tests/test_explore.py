@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from cohesionlab import explore
-from cohesionlab.cohesion import cohesion_k, constant_bound
+from cohesionlab.cohesion import cohesion_k, cohesion_orders, constant_bound
 from cohesionlab.dist import JointDistribution, to_dense
 from cohesionlab.errors import ScanError
 from cohesionlab.explore import (
     ScanConfig,
-    batch_cohesion,
     batch_cohesion_all,
-    batch_measure,
     compositions,
     emit_scatter,
     grid_count,
@@ -127,13 +125,14 @@ class TestBatchMeasures:
         rng = np.random.default_rng(61)
         n, q = 3, 2
         P = sample_matrix(rng, 40, q**n)
-        for k in (1, 2):
-            vals = batch_cohesion(P, n, q, k)
-            for i in range(P.shape[0]):
-                from cohesionlab.dist import from_dense
+        vals = cohesion_orders(P.reshape(40, q, q, q), (1, 2))
+        assert vals.shape == (40, 2)
+        from cohesionlab.dist import from_dense
 
-                p = from_dense(P[i].tolist(), n, q)
-                assert vals[i] == pytest.approx(cohesion_k(p, k), abs=1e-9)
+        for i in range(P.shape[0]):
+            p = from_dense(P[i].tolist(), n, q)
+            for k in (1, 2):
+                assert vals[i, k - 1] == pytest.approx(cohesion_k(p, k), abs=1e-9)
 
     def test_batch_cohesion_all_consistent(self):
         rng = np.random.default_rng(67)
@@ -142,13 +141,13 @@ class TestBatchMeasures:
         allk = batch_cohesion_all(P, n, q)
         assert allk.shape == (25, 3)
         for k in (1, 2, 3):
-            assert np.allclose(allk[:, k - 1], batch_cohesion(P, n, q, k))
+            assert np.allclose(allk[:, k - 1], make_objective(n, q, f"c{k}")(P))
 
     def test_batch_divergence_measure(self):
         rng = np.random.default_rng(71)
         n, q = 3, 2
         P = sample_matrix(rng, 10, q**n)
-        vals = batch_measure(P, n, q, "d2", base=2.0)
+        vals = make_objective(n, q, "d2", base=2.0)(P)
         from cohesionlab.dist import from_dense
 
         for i in range(10):
@@ -162,7 +161,7 @@ class TestBatchMeasures:
         rng = np.random.default_rng(73)
         P = sample_matrix(rng, 100_000, 16)
         start = time.perf_counter()
-        vals = batch_cohesion(P, 4, 2, 2, 2.0)
+        vals = make_objective(4, 2, "c2", 2.0)(P)
         assert time.perf_counter() - start < 30.0
         assert vals.max() < 5.0 + 1e-9  # never above the proven peak
 
@@ -192,7 +191,7 @@ class TestSearch:
         # warm starts from the best Dirichlet draws keep this fast
         rng = np.random.default_rng(cfg.seed)
         P = sample_matrix(rng, 2000, 16)
-        vals = batch_cohesion(P, 4, 2, 2, 2.0)
+        vals = make_objective(4, 2, "c2", 2.0)(P)
         warm = [P[i] for i in np.argsort(vals)[-3:]]
         result = local_search_max(cfg, "c2", restarts=3, warm_starts=warm, base=2.0)
         assert result.value == pytest.approx(5.0, abs=1e-6)
@@ -356,3 +355,39 @@ class TestEmitScatter:
         cfg = ScanConfig(3, 2, mode="search", measures=("c1", "c2"))
         with pytest.raises(ScanError, match="grid and random"):
             emit_scatter(cfg, tmp_path)
+
+    @pytest.mark.parametrize("mode", ["random", "grid"])
+    @pytest.mark.parametrize("chunk", [0, -3])
+    def test_chunk_must_be_positive(self, tmp_path, mode, chunk):
+        # a zero chunk used to loop forever in random mode
+        cfg = ScanConfig(3, 2, mode=mode, sample_count=5, resolution=2, measures=("c1",))
+        with pytest.raises(ScanError, match="chunk"):
+            emit_scatter(cfg, tmp_path, chunk=chunk)
+
+    def test_unconverged_ipf_counted(self, tmp_path, monkeypatch):
+        cfg = ScanConfig(3, 2, mode="random", sample_count=10, seed=4, measures=("c1", "d2"))
+        assert emit_scatter(cfg, tmp_path / "ok", chunk=4)["ipf_unconverged"] == 0
+        monkeypatch.setattr(explore, "DEFAULT_MAX_SWEEPS", 1)
+        # one d2 batch per chunk of 4, 4 and 2 rows, none converged in a sweep
+        assert emit_scatter(cfg, tmp_path / "capped", chunk=4)["ipf_unconverged"] == 3
+
+    def test_rows_independent_of_chunk(self, tmp_path):
+        cfg = ScanConfig(2, 2, mode="grid", resolution=4, measures=("c1", "d1"))
+        for chunk in (8, 4096):  # 35 points: the last chunk of 8 is partial
+            assert emit_scatter(cfg, tmp_path / str(chunk), chunk=chunk)["points"] == 35
+        text = (tmp_path / "8" / "scatter.csv").read_text()
+        assert text == (tmp_path / "4096" / "scatter.csv").read_text()
+
+    def test_random_rows_match_objective(self, tmp_path):
+        measures = ("c1", "c2", "d1", "d2")
+        cfg = ScanConfig(3, 3, mode="random", sample_count=50, seed=9, measures=measures)
+        emit_scatter(cfg, tmp_path, chunk=16)
+        lines = (tmp_path / "scatter.csv").read_text().splitlines()
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in lines if not line.startswith(("#", "index"))])
+        assert rows[:, 0].tolist() == list(range(50))
+        P = sample_matrix(np.random.default_rng(9), 50, 27)
+        for col, m in enumerate(measures, 1):
+            want = make_objective(3, 3, m)(P)
+            # the CSV keeps 12 significant digits
+            assert rows[:, col] == pytest.approx(want, rel=5e-12, abs=1e-12)
