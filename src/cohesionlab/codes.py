@@ -137,18 +137,6 @@ def column_subset_rank(c: LinearCode, cols) -> int:
     return int(batch_rank(c.field, [[[row[j] for j in cols] for row in c.generator]])[0])
 
 
-def subset_rank_entropy(c: LinearCode, mask: int) -> int:
-    """Base-q entropy of the code distribution's marginal on `mask`.
-
-    The marginal is uniform over the image of the message space under
-    the selected columns, a linear map, so its entropy is exactly the
-    rank of the column submatrix.
-    """
-    if not 0 <= mask < 1 << c.n:
-        raise CodeError(f"mask {mask:#b} does not fit in {c.n} columns")
-    return column_subset_rank(c, [j for j in range(c.n) if mask >> j & 1])
-
-
 def code_to_distribution(c: LinearCode) -> JointDistribution:
     """Uniform distribution with mass q^-k on each codeword."""
     words = enumerate_codewords(c)

@@ -55,8 +55,8 @@ def cohesion_k(p: JointDistribution, k: int, base: float | None = None) -> float
 class CohesionProfile:
     """All Cohesion orders for one distribution, with bound diagnostics.
 
-    values[k-1] holds C^(k) in the profile's base; constant_bounds and
-    slack are in the same base.
+    values[k-1] holds C^(k) in the profile's base; constant_bounds are
+    in the same base.
     """
 
     n: int
@@ -64,7 +64,6 @@ class CohesionProfile:
     base: float
     values: tuple
     constant_bounds: tuple
-    slack: tuple
 
     def value(self, k: int) -> float:
         return self.values[k - 1]
@@ -75,8 +74,7 @@ class CohesionProfile:
         b = float(self.q if base is None else base)
         f = math.log(self.base) / _log_base(self.q, b)
         return replace(self, base=b, values=tuple(v * f for v in self.values),
-                       constant_bounds=tuple(v * f for v in self.constant_bounds),
-                       slack=tuple(v * f for v in self.slack))
+                       constant_bounds=tuple(v * f for v in self.constant_bounds))
 
 
 def cohesion_profile(p: JointDistribution, base: float | None = None) -> CohesionProfile:
@@ -85,8 +83,7 @@ def cohesion_profile(p: JointDistribution, base: float | None = None) -> Cohesio
         raise DistributionError("cohesion profile needs at least two variables")
     values = tuple(cohesion_orders(p, range(1, p.n)).tolist())
     bounds = tuple(constant_bound(p.n, k) for k in range(1, p.n))
-    slack = tuple(bd - v for bd, v in zip(bounds, values))
-    return CohesionProfile(p.n, p.q, float(p.q), values, bounds, slack).rebase(base)
+    return CohesionProfile(p.n, p.q, float(p.q), values, bounds).rebase(base)
 
 
 @dataclass(frozen=True)

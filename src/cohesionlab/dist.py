@@ -27,6 +27,7 @@ from .errors import DistributionError
 
 MASS_TOL = 1e-12
 DENSE_BITS_LIMIT = 24
+MAX_TABLE_VARS = 20  # variables of any table indexed by subset mask (2^n entries)
 INCIDENCE_LIMIT = 1 << 16  # entries of the cached marginal matrix
 
 
@@ -66,7 +67,6 @@ class JointDistribution:
             raise DistributionError("need at least one variable")
         if self.q < 2:
             raise DistributionError("alphabet size must be >= 2")
-        total = 0.0
         clean = {}
         for outcome, mass in self.atoms.items():
             outcome = tuple(int(s) for s in outcome)
@@ -82,9 +82,9 @@ class JointDistribution:
             mass = float(mass)
             if mass < 0.0:
                 raise DistributionError(f"negative mass {mass} at {outcome}")
-            total += mass
             if mass > 0.0:
                 clean[outcome] = clean.get(outcome, 0.0) + mass
+        total = math.fsum(clean.values())  # exact: a running sum drifts past MASS_TOL
         if abs(total - 1.0) > MASS_TOL:
             raise DistributionError(f"masses sum to {total!r}, not 1 within {MASS_TOL}")
         object.__setattr__(self, "atoms", clean)
@@ -102,7 +102,7 @@ class JointDistribution:
     @classmethod
     def normalized(cls, n: int, q: int, atoms: dict) -> "JointDistribution":
         """Explicitly renormalize raw nonnegative weights to total mass 1."""
-        total = sum(atoms.values())
+        total = math.fsum(atoms.values())
         if total <= 0:
             raise DistributionError("cannot normalize: total weight is not positive")
         return cls(n, q, {x: m / total for x, m in atoms.items() if m > 0})
@@ -183,8 +183,8 @@ def _sparse_entropies(p: JointDistribution, max_order: int) -> dict:
 
 def entropy_table(p: JointDistribution, base: float | None = None) -> list[float]:
     """All 2^n subset entropies, indexed by subset mask (index 0 -> 0.0)."""
-    if p.n > 20:
-        raise DistributionError("entropy table limited to n <= 20")
+    if p.n > MAX_TABLE_VARS:
+        raise DistributionError(f"entropy table limited to n <= {MAX_TABLE_VARS}")
     logb = _log_base(p.q, base)
     table = _sparse_entropies(p, p.n)
     return [0.0] + [float(table[mask]) / logb for mask in range(1, 1 << p.n)]
@@ -296,22 +296,6 @@ def product_of_marginals(p: JointDistribution) -> JointDistribution:
 # Dense view (small index spaces only)
 # ---------------------------------------------------------------------------
 
-def outcome_index(outcome, q: int) -> int:
-    """Row-major index of an outcome; first variable is most significant."""
-    ix = 0
-    for s in outcome:
-        ix = ix * q + s
-    return ix
-
-
-def index_outcome(ix: int, n: int, q: int) -> tuple:
-    out = []
-    for _ in range(n):
-        ix, s = divmod(ix, q)
-        out.append(s)
-    return tuple(reversed(out))
-
-
 def to_dense(p: JointDistribution) -> list[float]:
     """Flat probability vector of length q^n, row-major outcome order."""
     bits = p.n * math.log2(p.q)
@@ -319,19 +303,21 @@ def to_dense(p: JointDistribution) -> list[float]:
         raise DistributionError(
             f"dense view needs n*log2(q) <= {DENSE_BITS_LIMIT} bits, got {bits:.1f}"
         )
-    vec = [0.0] * (p.q**p.n)
-    for outcome, m in p.atoms.items():
-        vec[outcome_index(outcome, p.q)] = m
-    return vec
+    cells = np.ravel_multi_index(np.array(list(p.atoms)).T, (p.q,) * p.n)
+    vec = np.zeros(p.q**p.n)
+    vec[cells] = list(p.atoms.values())
+    return vec.tolist()
 
 
 def from_dense(vec, n: int, q: int) -> JointDistribution:
+    """Distribution on the positive cells of a row-major vector, in
+    ascending cell order."""
     if len(vec) != q**n:
         raise DistributionError(f"dense vector length {len(vec)} != {q}^{n}")
-    atoms = {
-        index_outcome(ix, n, q): float(m) for ix, m in enumerate(vec) if m > 0.0
-    }
-    return JointDistribution(n, q, atoms)
+    vec = np.asarray(vec, dtype=float)
+    cells = np.flatnonzero(vec > 0.0)
+    outcomes = np.stack(np.unravel_index(cells, (q,) * n), axis=1).tolist()
+    return JointDistribution(n, q, dict(zip(map(tuple, outcomes), vec[cells].tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -87,15 +87,16 @@ def grid_count(resolution: int, dims: int) -> int:
 
 
 def grid_vectors(cfg: ScanConfig):
-    """Stream of dense probability vectors on the grid, deterministic order."""
+    """Stream of dense probability vectors on the grid, deterministic order.
+    The point limit is checked on the call, before any vector is made."""
     count = grid_count(cfg.resolution, cfg.dims)
     if count > GRID_POINT_LIMIT:
         raise ScanError(
             f"grid has {count} points, above the limit {GRID_POINT_LIMIT}"
         )
     r = float(cfg.resolution)
-    for parts in compositions(cfg.resolution, cfg.dims):
-        yield np.asarray(parts, dtype=float) / r
+    points = compositions(cfg.resolution, cfg.dims)
+    return (np.asarray(parts, dtype=float) / r for parts in points)
 
 
 def grid_enumerate(cfg: ScanConfig):

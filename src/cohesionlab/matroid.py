@@ -21,13 +21,12 @@ from itertools import combinations
 import numpy as np
 
 from .codes import rs_generator
-from .dist import JointDistribution, entropy_table
+from .dist import MAX_TABLE_VARS, JointDistribution, entropy_table
 from .errors import MatroidError, SearchBudgetExceeded
 from .gf import FieldSpec, column_subset_ranks
 
 INTEGER_TOL = 1e-6
 NEAR_MATROID_TOL = 1e-3
-MAX_GROUND = 20  # rank tables hold 2^n entries
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,8 @@ def _matrix_ranks(field: FieldSpec, matrix, n: int) -> np.ndarray:
     rank is the largest rank among its subsets: one subset-max pass per
     column fills it exactly.
     """
-    if n > MAX_GROUND:
-        raise MatroidError(f"rank table limited to {MAX_GROUND} elements, got {n}")
+    if n > MAX_TABLE_VARS:
+        raise MatroidError(f"rank table limited to {MAX_TABLE_VARS} elements, got {n}")
     ranks = np.zeros(1 << n, dtype=np.int64)
     for size in range(1, min(len(matrix), n) + 1):
         masks = [sum(1 << j for j in s) for s in combinations(range(n), size)]

@@ -110,7 +110,8 @@ def maxent_projection(
     target = dense_table(p)[np.newaxis]
     proj, sweeps, residual = ipf_project_batch(target, k, tol, max_sweeps)
     div = float(batch_divergence(target, proj, b)[0])
-    projection = from_dense(proj[0].ravel().tolist(), p.n, p.q)
+    flat = proj[0].ravel()  # fitted only to tol, so its total drifts from 1
+    projection = from_dense((flat / math.fsum(flat)).tolist(), p.n, p.q)
     return ProjectionResult(projection, div, sweeps, residual, residual < tol, b)
 
 

@@ -235,6 +235,12 @@ class TestMaximizerCommand:
             assert cert["q"] == 7
             assert cert["meets_bound"] and cert["matroid_uniform"]
 
+    def test_large_code_mass_check(self):
+        # 7^6 codewords of mass 7^-6: the mass check must sum them exactly
+        dist, cert = run_maximizer(7, 6)
+        assert dist.support_size == 7**6
+        assert cert["meets_bound"] and cert["matroid_uniform"]
+
     def test_enumeration_limit(self, capsys):
         # GF(13) settles U_{6,12}, but 13^6 codewords exceed the limit
         assert main(["maximizer", "12", "6"]) == 1

@@ -10,12 +10,12 @@ from cohesionlab.codes import (
     k_column_independence,
     min_distance,
     rs_generator,
-    subset_rank_entropy,
 )
 from cohesionlab.cohesion import cohesion_k, constant_bound
 from cohesionlab.dist import subset_entropy
 from cohesionlab.errors import CodeError
 from cohesionlab.gf import is_prime_power, make_field, matrix_rank
+from cohesionlab.matroid import code_rank_report
 from conftest import RS4_ATOMS
 
 GF2 = make_field(2, 1)
@@ -154,10 +154,9 @@ class TestCodeDistribution:
             f = make_field(*is_prime_power(q))
             code = rs_generator(f, k)
             d = code_to_distribution(code)
+            ranks = code_rank_report(code).ranks
             for mask in range(1 << q):
-                assert subset_entropy(d, mask) == pytest.approx(
-                    subset_rank_entropy(code, mask), abs=1e-9
-                )
+                assert subset_entropy(d, mask) == pytest.approx(ranks[mask], abs=1e-9)
 
 
 def test_singleton_bound_all_constructed():
@@ -182,11 +181,6 @@ def test_column_subset_rank():
 class TestSubsetRange:
     """Column subsets are checked against the code length, as
     `dist.subset_entropy` checks masks against n."""
-
-    def test_mask_beyond_length_rejected(self):
-        code = rs_generator(GF4, 2)  # n = 4
-        with pytest.raises(CodeError, match="does not fit in 4 columns"):
-            subset_rank_entropy(code, 0b110000)
 
     def test_negative_columns_rejected(self):
         with pytest.raises(CodeError, match="column -1 outside 0..3"):

@@ -33,6 +33,13 @@ class TestConstruction:
         with pytest.raises(DistributionError, match="sum"):
             JointDistribution(2, 2, {(0, 0): 0.5, (1, 1): 0.4})
 
+    def test_mass_sum_exact_for_many_atoms(self):
+        # 5^7 equal masses: a running sum is off by about 1e-12
+        atoms = JointDistribution.uniform(7, 5).atoms
+        assert len(atoms) == 5**7
+        weights = dict.fromkeys(atoms, 0.1)
+        assert JointDistribution.normalized(7, 5, weights).support_size == 5**7
+
     def test_negative_mass_rejected(self):
         with pytest.raises(DistributionError, match="negative"):
             JointDistribution(1, 2, {(0,): 1.5, (1,): -0.5})
@@ -105,6 +112,10 @@ class TestEntropy:
             for j in range(i + 1, 4):
                 mask = (1 << i) | (1 << j)
                 assert subset_entropy(rs_maximizer4, mask, 4) == pytest.approx(2.0)
+
+    def test_entropy_table_limit(self):
+        with pytest.raises(DistributionError, match="limited to n <= 20"):
+            entropy_table(JointDistribution.point_mass((0,) * 21, 2))
 
     def test_entropy_table_matches_direct(self, redundant_synergy4):
         table = entropy_table(redundant_synergy4, 2)
@@ -207,6 +218,14 @@ class TestIO:
     def test_dense_round_trip(self, redundant_synergy4):
         vec = to_dense(redundant_synergy4)
         assert from_dense(vec, 4, 2).atoms == redundant_synergy4.atoms
+
+    def test_dense_layout(self):
+        # row-major, first variable most significant; atoms come back in
+        # ascending cell order
+        p = JointDistribution(2, 3, {(2, 0): 0.5, (0, 1): 0.25, (1, 2): 0.25})
+        vec = to_dense(p)
+        assert vec == [0.0, 0.25, 0.0, 0.0, 0.0, 0.25, 0.5, 0.0, 0.0]
+        assert list(from_dense(vec, 2, 3).atoms) == [(0, 1), (1, 2), (2, 0)]
 
     def test_dense_limit(self):
         big = JointDistribution(9, 8, {(0,) * 9: 1.0})

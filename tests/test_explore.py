@@ -351,6 +351,12 @@ class TestEmitScatter:
         summary = emit_scatter(cfg, tmp_path)
         assert summary["points"] == grid_count(4, 4)
 
+    def test_grid_limit_writes_nothing(self, tmp_path):
+        cfg = ScanConfig(4, 2, mode="grid", resolution=60, measures=("c1",))
+        with pytest.raises(ScanError, match="limit"):
+            emit_scatter(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_search_mode_rejected(self, tmp_path):
         cfg = ScanConfig(3, 2, mode="search", measures=("c1", "c2"))
         with pytest.raises(ScanError, match="grid and random"):

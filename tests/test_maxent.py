@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohesionlab.cohesion import cohesion_k
+from cohesionlab.codes import LinearCode, code_to_distribution
+from cohesionlab.cohesion import cohesion_k, cohesion_orders
 from cohesionlab.dist import (
     JointDistribution,
     kl_divergence,
@@ -17,6 +18,8 @@ from cohesionlab.dist import (
     to_dense,
 )
 from cohesionlab.errors import DistributionError
+from cohesionlab.gf import is_prime_power, make_field
+from cohesionlab.matroid import find_uniform_representation
 from cohesionlab.maxent import (
     batch_divergence,
     check_eq4_bound,
@@ -136,6 +139,35 @@ class TestEq4:
         assert rep.bound == pytest.approx(2.0, abs=1e-9)  # 6/3 base-4
         assert rep.divergence == pytest.approx(2.0, abs=1e-6)
         assert rep.satisfied
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+    def test_mds_codes_tight_at_every_order(self, q):
+        # an [n, k0] MDS code has uniform j-marginals for j <= k0, so p^(j)
+        # is uniform and D = n - k0 = C^(j) / C(n-1, j-1); for j > k0 the
+        # j-marginals pin p down and D = 0
+        field = make_field(*is_prime_power(q))
+        n = min(q + 1, max(m for m in range(2, 17) if q**m <= 1 << 16))
+        codes = [LinearCode.from_rows(field, find_uniform_representation(k0, n, field))
+                 for k0 in range(1, n)]
+        batch = np.stack([dense_table(code_to_distribution(c)) for c in codes])
+        cohesion = cohesion_orders(batch, range(1, n))
+        for j in range(1, n):
+            proj, _, residual = ipf_project_batch(batch, j)
+            assert residual < 1e-10
+            divs = batch_divergence(batch, proj, float(q))
+            for k0, d in enumerate(divs, 1):
+                assert d == pytest.approx(n - k0 if j <= k0 else 0.0, abs=1e-9), (k0, j)
+                if j <= k0:
+                    assert cohesion[k0 - 1, j - 1] / math.comb(n - 1, j - 1) == pytest.approx(
+                        n - k0, abs=1e-9)
+
+    def test_projection_of_large_code_has_unit_mass(self):
+        # IPF fits the 5^8 product table only to tol; the projection is
+        # renormalized so it still passes the mass check
+        p = code_to_distribution(LinearCode.from_rows(make_field(5, 1), [[1] * 8]))
+        res = maxent_projection(p, 1)
+        assert res.projection.support_size == 5**8
+        assert res.divergence == pytest.approx(7.0, abs=1e-9)
 
     def test_local_divergence_benchmark(self, local_div_max4):
         rep = check_eq4_bound(local_div_max4, 2, base=2.0)
