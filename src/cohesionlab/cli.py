@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ToolError, FileNotFoundError) as exc:
+    except (ToolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

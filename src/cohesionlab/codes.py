@@ -16,12 +16,10 @@ from math import comb
 
 import numpy as np
 
-from .dist import JointDistribution
+from . import dist
+from .dist import JointDistribution, _check_table
 from .errors import CodeError
 from .gf import BATCH_LABELS, FieldSpec, batch_rank, column_subset_ranks, matmul
-
-ENUM_LIMIT = 1 << 20
-COLUMN_SUBSET_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -91,10 +89,7 @@ def _codeword_chunks(c: LinearCode):
     """Codeword arrays of at most BATCH_LABELS labels, messages in
     lexicographic order (first symbol slowest)."""
     total = c.q**c.k
-    if total > ENUM_LIMIT:
-        raise CodeError(
-            f"codeword count {c.q}^{c.k} exceeds the enumeration limit {ENUM_LIMIT}"
-        )
+    _check_table(total, f"codeword table: {c.q}^{c.k}", CodeError)
     step = max(1, BATCH_LABELS // c.n)  # k <= n for a code of rank k
     place = c.q ** np.arange(c.k - 1, -1, -1)
     for start in range(0, total, step):
@@ -122,10 +117,7 @@ def min_distance(c: LinearCode) -> CodeParams:
 
 def k_column_independence(c: LinearCode) -> bool:
     """True iff every k-subset of generator columns has full rank."""
-    if comb(c.n, c.k) > COLUMN_SUBSET_LIMIT:
-        raise CodeError(
-            f"C({c.n},{c.k}) column subsets exceed the limit {COLUMN_SUBSET_LIMIT}"
-        )
+    _check_table(comb(c.n, c.k), f"column subsets: C({c.n},{c.k})", CodeError)
     return bool((column_subset_ranks(c.field, c.generator, c.k) == c.k).all())
 
 
@@ -146,7 +138,7 @@ def code_to_distribution(c: LinearCode) -> JointDistribution:
 
 def generator_json(c: LinearCode) -> dict:
     params = None
-    if c.q**c.k <= ENUM_LIMIT:
+    if c.q**c.k <= dist.TABLE_LIMIT:
         cp = min_distance(c)
         params = {"n": cp.n, "k": cp.k, "q": cp.q, "d": cp.d, "is_mds": cp.is_mds}
     return {

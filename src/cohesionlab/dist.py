@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -26,9 +27,15 @@ import numpy as np
 from .errors import DistributionError
 
 MASS_TOL = 1e-12
-DENSE_BITS_LIMIT = 24
-MAX_TABLE_VARS = 20  # variables of any table indexed by subset mask (2^n entries)
+TABLE_LIMIT = 1 << 20  # entries of any table built whole: cells, subsets, codewords
 INCIDENCE_LIMIT = 1 << 16  # entries of the cached marginal matrix
+
+
+def _check_table(entries: int, what: str, error=DistributionError) -> None:
+    """Refuse a table of more than TABLE_LIMIT entries; `what` names it and
+    its size, e.g. "codeword table: 13^6"."""
+    if entries > TABLE_LIMIT:
+        raise error(f"{what} = {entries} entries, above the table limit {TABLE_LIMIT}")
 
 
 def mask_bits(mask: int) -> list[int]:
@@ -68,8 +75,12 @@ class JointDistribution:
         if self.q < 2:
             raise DistributionError("alphabet size must be >= 2")
         clean = {}
+        top = 1.0 + MASS_TOL  # a larger mass fails the sum check; also keeps fsum finite
         for outcome, mass in self.atoms.items():
-            outcome = tuple(int(s) for s in outcome)
+            try:
+                outcome = tuple(map(operator.index, outcome))
+            except TypeError:
+                raise DistributionError(f"outcome {outcome} has a non-integer symbol") from None
             if len(outcome) != self.n:
                 raise DistributionError(
                     f"outcome {outcome} has length {len(outcome)}, expected {self.n}"
@@ -80,8 +91,8 @@ class JointDistribution:
                         f"symbol {s} in outcome {outcome} outside 0..{self.q - 1}"
                     )
             mass = float(mass)
-            if mass < 0.0:
-                raise DistributionError(f"negative mass {mass} at {outcome}")
+            if not 0.0 <= mass <= top:
+                raise DistributionError(f"mass {mass} at {outcome} is negative, above 1 or NaN")
             if mass > 0.0:
                 clean[outcome] = clean.get(outcome, 0.0) + mass
         total = math.fsum(clean.values())  # exact: a running sum drifts past MASS_TOL
@@ -183,8 +194,7 @@ def _sparse_entropies(p: JointDistribution, max_order: int) -> dict:
 
 def entropy_table(p: JointDistribution, base: float | None = None) -> list[float]:
     """All 2^n subset entropies, indexed by subset mask (index 0 -> 0.0)."""
-    if p.n > MAX_TABLE_VARS:
-        raise DistributionError(f"entropy table limited to n <= {MAX_TABLE_VARS}")
+    _check_table(1 << p.n, f"entropy table: 2^{p.n}")
     logb = _log_base(p.q, base)
     table = _sparse_entropies(p, p.n)
     return [0.0] + [float(table[mask]) / logb for mask in range(1, 1 << p.n)]
@@ -298,11 +308,7 @@ def product_of_marginals(p: JointDistribution) -> JointDistribution:
 
 def to_dense(p: JointDistribution) -> list[float]:
     """Flat probability vector of length q^n, row-major outcome order."""
-    bits = p.n * math.log2(p.q)
-    if bits > DENSE_BITS_LIMIT:
-        raise DistributionError(
-            f"dense view needs n*log2(q) <= {DENSE_BITS_LIMIT} bits, got {bits:.1f}"
-        )
+    _check_table(p.q**p.n, f"dense table: {p.q}^{p.n}")
     cells = np.ravel_multi_index(np.array(list(p.atoms)).T, (p.q,) * p.n)
     vec = np.zeros(p.q**p.n)
     vec[cells] = list(p.atoms.values())
@@ -339,7 +345,7 @@ def from_csv(path, q: int | None = None) -> JointDistribution:
     header = None
     rows = []
     meta_q = None
-    with path.open() as fh:
+    with path.open(errors="replace") as fh:  # a bad byte fails its cell's parse
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -347,7 +353,10 @@ def from_csv(path, q: int | None = None) -> JointDistribution:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("q="):
-                    meta_q = int(body[2:])
+                    try:
+                        meta_q = int(body[2:])
+                    except ValueError as exc:
+                        raise DistributionError(f"{path}:{lineno}: {exc}") from exc
                 continue
             cells = [c.strip() for c in line.split(",")]
             if header is None:
@@ -376,7 +385,10 @@ def from_csv(path, q: int | None = None) -> JointDistribution:
     atoms: dict = {}
     for outcome, mass in rows:
         atoms[outcome] = atoms.get(outcome, 0.0) + mass
-    return JointDistribution(n, q, atoms)
+    try:
+        return JointDistribution(n, q, atoms)
+    except DistributionError as exc:
+        raise DistributionError(f"{path}: {exc}") from exc
 
 
 def to_json_dict(p: JointDistribution) -> dict:
@@ -392,11 +404,11 @@ def to_json(p: JointDistribution, path) -> None:
 
 
 def from_json(path) -> JointDistribution:
-    data = json.loads(Path(path).read_text())
     try:
+        data = json.loads(Path(path).read_text())
         atoms = {tuple(a["x"]): float(a["p"]) for a in data["atoms"]}
         return JointDistribution(int(data["n"]), int(data["q"]), atoms)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers DistributionError
         raise DistributionError(f"{path}: malformed JSON distribution: {exc}") from exc
 
 

@@ -14,7 +14,7 @@ class FieldError(ToolError):
 
 
 class CodeError(ToolError):
-    """Invalid linear-code construction or enumeration limit."""
+    """Invalid linear-code construction, or a code table above the table limit."""
 
 
 class MatroidError(ToolError):

@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .codes import rs_generator
-from .dist import MAX_TABLE_VARS, JointDistribution, entropy_table
+from .dist import JointDistribution, _check_table, entropy_table
 from .errors import MatroidError, SearchBudgetExceeded
 from .gf import FieldSpec, column_subset_ranks
 
@@ -77,8 +77,7 @@ def _matrix_ranks(field: FieldSpec, matrix, n: int) -> np.ndarray:
     rank is the largest rank among its subsets: one subset-max pass per
     column fills it exactly.
     """
-    if n > MAX_TABLE_VARS:
-        raise MatroidError(f"rank table limited to {MAX_TABLE_VARS} elements, got {n}")
+    _check_table(1 << n, f"rank table: 2^{n}", MatroidError)
     ranks = np.zeros(1 << n, dtype=np.int64)
     for size in range(1, min(len(matrix), n) + 1):
         masks = [sum(1 << j for j in s) for s in combinations(range(n), size)]

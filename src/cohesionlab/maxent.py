@@ -22,7 +22,6 @@ from .errors import DistributionError
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_SWEEPS = 10_000
-DENSE_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -36,10 +35,6 @@ class ProjectionResult:
 
 
 def dense_table(p: JointDistribution) -> np.ndarray:
-    if p.q**p.n > DENSE_LIMIT:
-        raise DistributionError(
-            f"outcome space {p.q}^{p.n} exceeds the dense limit {DENSE_LIMIT}"
-        )
     return np.asarray(to_dense(p), dtype=float).reshape((p.q,) * p.n)
 
 
@@ -106,6 +101,8 @@ def maxent_projection(
 ) -> ProjectionResult:
     """Maximum-entropy projection of p onto the family with p's k-th
     order marginals, with its divergence in the requested base."""
+    if max_sweeps < 1 or not tol > 0.0:
+        raise DistributionError(f"IPF needs max_sweeps >= 1 and tol > 0, got {max_sweeps}, {tol}")
     b = float(p.q if base is None else base)
     target = dense_table(p)[np.newaxis]
     proj, sweeps, residual = ipf_project_batch(target, k, tol, max_sweeps)

@@ -61,6 +61,35 @@ class TestCohesionCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
+# each loaded with a raw traceback or silently accepted before; None is a directory
+MALFORMED_FILES = {
+    "q_not_integer.csv": "# q=x\nx0,p\n0,1.0\n",
+    "not_json.json": "{\"n\": 1,",
+    "text_mass.json": '{"n": 1, "q": 2, "atoms": [{"x": [0], "p": "zz"}]}',
+    "text_symbol.json": '{"n": 2, "q": 2, "atoms": [{"x": ["a", 0], "p": 1.0}]}',
+    "fractional_symbol.json": '{"n": 1, "q": 2, "atoms": [{"x": [1.7], "p": 1.0}]}',
+    "nan_mass.csv": "x0,x1,p\n0,0,nan\n1,1,1.0\n",
+    "huge_masses.csv": "x0,p\n0,1e308\n1,1e308\n",
+    "binary.csv": b"x0,p\n\xff\xfe,1.0\n",
+    "directory.csv": None,
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_FILES)
+def test_malformed_file_fails_in_one_line(tmp_path, capsys, name):
+    path, content = tmp_path / name, MALFORMED_FILES[name]
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    assert main(["cohesion", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert name in captured.err
+
+
 class TestMaxentCommand:
     def test_parity_divergence(self, parity_csv, capsys):
         assert main(["maxent", parity_csv, "--k", "2", "--json"]) == 0
@@ -71,6 +100,13 @@ class TestMaxentCommand:
     def test_bad_order(self, parity_csv, capsys):
         assert main(["maxent", parity_csv, "--k", "3"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", [["--max-sweeps", "0"], ["--tol", "0"]])
+    def test_budget_that_cannot_converge(self, parity_csv, capsys, budget):
+        assert main(["maxent", parity_csv, "--k", "1", "--json", *budget]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: IPF needs max_sweeps >= 1 and tol > 0")
 
 
 class TestFieldCommand:
@@ -244,7 +280,8 @@ class TestMaximizerCommand:
     def test_enumeration_limit(self, capsys):
         # GF(13) settles U_{6,12}, but 13^6 codewords exceed the limit
         assert main(["maximizer", "12", "6"]) == 1
-        assert "exceeds the enumeration limit" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "codeword table: 13^6 = 4826809 entries, above the table limit" in err
 
     def test_cli_json(self, capsys):
         assert main(["maximizer", "4", "2", "--json"]) == 0

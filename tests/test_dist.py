@@ -44,6 +44,21 @@ class TestConstruction:
         with pytest.raises(DistributionError, match="negative"):
             JointDistribution(1, 2, {(0,): 1.5, (1,): -0.5})
 
+    @pytest.mark.parametrize("symbol", [1.7, 1.0, "1", None])
+    def test_non_integer_symbol_rejected(self, symbol):
+        with pytest.raises(DistributionError, match="non-integer symbol"):
+            JointDistribution(2, 2, {(symbol, 0): 1.0})
+
+    def test_numpy_integer_symbols_accepted(self):
+        p = JointDistribution(2, 3, {(np.int64(2), np.uint8(1)): 1.0})
+        assert list(p.atoms) == [(2, 1)]
+        assert type(next(iter(p.atoms))[0]) is int
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf, 1e308])
+    def test_mass_outside_unit_interval_rejected(self, mass):
+        with pytest.raises(DistributionError, match="negative, above 1 or NaN"):
+            JointDistribution(2, 2, {(0, 0): mass, (1, 1): 1.0})
+
     def test_symbol_range_enforced(self):
         with pytest.raises(DistributionError, match="outside"):
             JointDistribution(1, 2, {(2,): 1.0})
@@ -114,7 +129,7 @@ class TestEntropy:
                 assert subset_entropy(rs_maximizer4, mask, 4) == pytest.approx(2.0)
 
     def test_entropy_table_limit(self):
-        with pytest.raises(DistributionError, match="limited to n <= 20"):
+        with pytest.raises(DistributionError, match=r"entropy table: 2\^21 = 2097152 entries"):
             entropy_table(JointDistribution.point_mass((0,) * 21, 2))
 
     def test_entropy_table_matches_direct(self, redundant_synergy4):

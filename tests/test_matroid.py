@@ -329,9 +329,9 @@ class TestVectorMatroid:
 
     def test_rank_tables_capped_at_twenty_elements(self):
         # an RS code over GF(32) has 32 columns: 2^32 table entries
-        with pytest.raises(MatroidError, match="limited to 20"):
+        with pytest.raises(MatroidError, match=r"rank table: 2\^32 = 4294967296 entries"):
             code_rank_report(rs_generator(make_field(2, 5), 2))
-        with pytest.raises(MatroidError, match="limited to 20"):
+        with pytest.raises(MatroidError, match=r"rank table: 2\^21 = 2097152 entries"):
             vector_matroid(GF2, [[1] * 21])
 
 

@@ -108,6 +108,11 @@ class TestIPF:
         with pytest.raises(DistributionError, match="outside"):
             maxent_projection(parity3, 3)
 
+    @pytest.mark.parametrize("budget", [{"max_sweeps": 0}, {"tol": 0.0}, {"tol": -1e-9}])
+    def test_budget_that_cannot_converge_rejected(self, parity3, budget):
+        with pytest.raises(DistributionError, match="max_sweeps >= 1 and tol > 0"):
+            maxent_projection(parity3, 2, **budget)
+
     def test_sweep_budget_reported(self, parity3):
         target = dense_table(parity3)[np.newaxis]
         _, sweeps, residual = ipf_project_batch(target, 2, tol=0.0, max_sweeps=3)
