@@ -407,7 +407,10 @@ def from_json(path) -> JointDistribution:
     try:
         data = json.loads(Path(path).read_text())
         atoms = {tuple(a["x"]): float(a["p"]) for a in data["atoms"]}
-        return JointDistribution(int(data["n"]), int(data["q"]), atoms)
+        for field in ("n", "q"):  # as operator.index on JSON values: 1.9, 2.0 and "2" fail
+            if not isinstance(data[field], int):
+                raise DistributionError(f"field {field!r} = {data[field]!r} is not an integer")
+        return JointDistribution(data["n"], data["q"], atoms)
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers DistributionError
         raise DistributionError(f"{path}: malformed JSON distribution: {exc}") from exc
 

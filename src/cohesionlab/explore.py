@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .cohesion import cohesion_orders, constant_bound
-from .dist import JointDistribution, from_dense, order_entropies
+from .dist import JointDistribution, _check_table, from_dense, order_entropies
 from .errors import ScanError
 from .maxent import DEFAULT_MAX_SWEEPS, DEFAULT_TOL, batch_divergence, ipf_project_batch
 
@@ -48,6 +48,7 @@ class ScanConfig:
             raise ScanError("sample count must be >= 1")
         if self.mode not in ("grid", "random", "search"):
             raise ScanError(f"unknown scan mode {self.mode!r}")
+        _check_table(self.dims, f"dense table: {self.q}^{self.n}", ScanError)
         for m in self.measures:
             parse_measure(m, self.n)
 
@@ -341,20 +342,16 @@ def emit_scatter(cfg: ScanConfig, out_dir, chunk: int = 4096) -> dict:
                 fh.write(f"{index}," + ",".join(f"{v:.12g}" for v in row) + "\n")
             count += P.shape[0]
 
-    with (out / "overlay_eq1.csv").open("w") as fh:
-        fh.write("\n".join(_metadata_lines(cfg, {"overlay": "adjacent-order rays"})) + "\n")
-        fh.write("k,slope\n")
-        for k in range(1, n - 1):
-            fh.write(f"{k},{(n - k) / k:.12g}\n")
-    with (out / "overlay_bounds.csv").open("w") as fh:
-        fh.write("\n".join(_metadata_lines(cfg, {"overlay": "constant ceilings"})) + "\n")
-        fh.write("k,constant_bound\n")
-        for k in range(1, n):
-            fh.write(f"{k},{constant_bound(n, k):.12g}\n")
-    with (out / "overlay_eq4.csv").open("w") as fh:
-        fh.write("\n".join(_metadata_lines(cfg, {"overlay": "divergence bound diagonal"})) + "\n")
-        fh.write("slope,intercept\n")
-        fh.write("1,0\n")
+    overlays = [
+        ("overlay_eq1.csv", "adjacent-order rays", "k,slope",
+         [f"{k},{(n - k) / k:.12g}" for k in range(1, n - 1)]),
+        ("overlay_bounds.csv", "constant ceilings", "k,constant_bound",
+         [f"{k},{constant_bound(n, k):.12g}" for k in range(1, n)]),
+        ("overlay_eq4.csv", "divergence bound diagonal", "slope,intercept", ["1,0"]),
+    ]
+    for name, label, header, rows in overlays:
+        lines = _metadata_lines(cfg, {"overlay": label}) + [header] + rows
+        (out / name).write_text("\n".join(lines) + "\n")
 
     return {"points": count, "maxima": maxima,
             "ipf_unconverged": tally["ipf_unconverged"], "out": str(out)}

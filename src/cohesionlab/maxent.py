@@ -54,27 +54,19 @@ def ipf_project_batch(
     n = targets.ndim - 1
     if not 1 <= k <= n - 1:
         raise DistributionError(f"interaction order k={k} outside 1..{n - 1}")
-    subsets = list(combinations(range(n), k))
-    complements = {
-        A: tuple(ax + 1 for ax in range(n) if ax not in A) for A in subsets
-    }
-    target_margs = {
-        A: targets.sum(axis=complements[A], keepdims=True) for A in subsets
-    }
+    axes = [tuple(ax + 1 for ax in range(n) if ax not in A) for A in combinations(range(n), k)]
+    margs = [targets.sum(axis=c, keepdims=True) for c in axes]
     size = float(np.prod(targets.shape[1:]))
     cur = np.full_like(targets, 1.0 / size)
     residual = math.inf
     sweeps = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):  # an overflowed ratio meets a zero cell: inf * 0
         for sweeps in range(1, max_sweeps + 1):
-            for A in subsets:
-                cm = cur.sum(axis=complements[A], keepdims=True)
-                ratio = np.where(cm > 0.0, target_margs[A] / np.where(cm > 0.0, cm, 1.0), 0.0)
-                cur *= ratio
-            residual = 0.0
-            for A in subsets:
-                cm = cur.sum(axis=complements[A], keepdims=True)
-                residual = max(residual, float(np.abs(cm - target_margs[A]).max()))
+            for c, t in zip(axes, margs):
+                cm = cur.sum(axis=c, keepdims=True)
+                cur *= np.divide(t, cm, out=np.zeros_like(cm), where=cm > 0.0)
+            residual = max(0.0, *(float(np.abs(cur.sum(axis=c, keepdims=True) - t).max())
+                                  for c, t in zip(axes, margs)))
             if residual < tol:
                 break
     return cur, sweeps, residual
@@ -84,12 +76,23 @@ def batch_divergence(targets: np.ndarray, others: np.ndarray, base: float) -> np
     """Rowwise D(target || other) over matching dense tables."""
     t = targets.reshape(targets.shape[0], -1)
     o = others.reshape(others.shape[0], -1)
-    mask = t > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(mask, t * np.log(np.where(mask, t, 1.0) / np.where(o > 0.0, o, 1.0)), 0.0)
+    pos = t > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # underflowed ratio: log(0)
+        terms = t * np.log(np.divide(t, o, out=np.ones_like(t), where=pos & (o > 0.0)))
     out = terms.sum(axis=1) / math.log(base)
-    out[np.where((t > 0) & (o <= 0))[0]] = math.inf
+    out[(pos & (o <= 0.0)).any(axis=1)] = math.inf
     return np.maximum(out, 0.0)
+
+
+def _fit(p: JointDistribution, k: int, tol: float, max_sweeps: int, base: float | None):
+    """IPF of p's dense table at order k, without building p^(k) as a
+    distribution: (fitted table, D(p || p^(k)), sweeps, residual, base)."""
+    if max_sweeps < 1 or not tol > 0.0:
+        raise DistributionError(f"IPF needs max_sweeps >= 1 and tol > 0, got {max_sweeps}, {tol}")
+    b = float(p.q if base is None else base)
+    target = dense_table(p)[np.newaxis]
+    proj, sweeps, residual = ipf_project_batch(target, k, tol, max_sweeps)
+    return proj[0], float(batch_divergence(target, proj, b)[0]), sweeps, residual, b
 
 
 def maxent_projection(
@@ -101,13 +104,8 @@ def maxent_projection(
 ) -> ProjectionResult:
     """Maximum-entropy projection of p onto the family with p's k-th
     order marginals, with its divergence in the requested base."""
-    if max_sweeps < 1 or not tol > 0.0:
-        raise DistributionError(f"IPF needs max_sweeps >= 1 and tol > 0, got {max_sweeps}, {tol}")
-    b = float(p.q if base is None else base)
-    target = dense_table(p)[np.newaxis]
-    proj, sweeps, residual = ipf_project_batch(target, k, tol, max_sweeps)
-    div = float(batch_divergence(target, proj, b)[0])
-    flat = proj[0].ravel()  # fitted only to tol, so its total drifts from 1
+    proj, div, sweeps, residual, b = _fit(p, k, tol, max_sweeps, base)
+    flat = proj.ravel()  # fitted only to tol, so its total drifts from 1
     projection = from_dense((flat / math.fsum(flat)).tolist(), p.n, p.q)
     return ProjectionResult(projection, div, sweeps, residual, residual < tol, b)
 
@@ -133,24 +131,24 @@ def check_eq4_bound(
 
     A violation beyond tol + 1e-6 indicates a bug, not a counterexample.
     """
-    res = maxent_projection(p, k, tol, max_sweeps, base)
-    bound = cohesion_k(p, k, res.base) / comb(p.n - 1, k - 1)
-    slack = bound - res.divergence
-    return Eq4Report(k, res.divergence, bound, slack, slack >= -(tol + 1e-6), res.converged)
+    _, div, _, residual, b = _fit(p, k, tol, max_sweeps, base)
+    bound = cohesion_k(p, k, b) / comb(p.n - 1, k - 1)
+    slack = bound - div
+    return Eq4Report(k, div, bound, slack, slack >= -(tol + 1e-6), residual < tol)
 
 
 def projection_json(p: JointDistribution, k: int, tol: float, max_sweeps: int) -> dict:
-    res = maxent_projection(p, k, tol, max_sweeps)
-    bound = cohesion_k(p, k, res.base) / comb(p.n - 1, k - 1)
+    _, div, sweeps, residual, b = _fit(p, k, tol, max_sweeps, None)
+    bound = cohesion_k(p, k, b) / comb(p.n - 1, k - 1)
     bits = math.log(p.q) / math.log(2.0)
     return {
         "k": k,
-        "base": res.base,
-        "divergence": res.divergence,
-        "divergence_bits": res.divergence * bits,
-        "iterations": res.iterations,
-        "residual": res.residual,
-        "converged": res.converged,
-        "eq4_lhs": res.divergence,
+        "base": b,
+        "divergence": div,
+        "divergence_bits": div * bits,
+        "iterations": sweeps,
+        "residual": residual,
+        "converged": residual < tol,
+        "eq4_lhs": div,
         "eq4_rhs": bound,
     }

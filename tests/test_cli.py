@@ -68,6 +68,7 @@ MALFORMED_FILES = {
     "text_mass.json": '{"n": 1, "q": 2, "atoms": [{"x": [0], "p": "zz"}]}',
     "text_symbol.json": '{"n": 2, "q": 2, "atoms": [{"x": ["a", 0], "p": 1.0}]}',
     "fractional_symbol.json": '{"n": 1, "q": 2, "atoms": [{"x": [1.7], "p": 1.0}]}',
+    "fractional_n.json": '{"n": 1.9, "q": 2, "atoms": [{"x": [1], "p": 1.0}]}',
     "nan_mass.csv": "x0,x1,p\n0,0,nan\n1,1,1.0\n",
     "huge_masses.csv": "x0,p\n0,1e308\n1,1e308\n",
     "binary.csv": b"x0,p\n\xff\xfe,1.0\n",
@@ -203,6 +204,16 @@ class TestScanCommand:
         assert main(["scan", "--n", "3", "--q", "2", "--mode", "random",
                      "--samples", "5", "--measures", "c1,c2"]) == 1
         assert "--out" in capsys.readouterr().err
+
+    def test_scan_above_the_table_limit_makes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "scan"
+        assert main(["scan", "--n", "40", "--q", "2", "--mode", "random", "--samples", "1",
+                     "--measures", "c1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: dense table: 2^40 = 1099511627776 entries,"
+                                " above the table limit 1048576\n")
+        assert not out.exists()
 
     def test_large_grid_guard(self, tmp_path, capsys):
         assert main(["scan", "--n", "3", "--q", "2", "--mode", "grid",

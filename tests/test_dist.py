@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -223,6 +225,17 @@ class TestIO:
         path.write_text("# comment\n# q=4\nx0,x1,p\n0,0,0.5\n1,1,0.5\n")
         p = from_csv(path)
         assert (p.n, p.q) == (2, 4)
+
+    @pytest.mark.parametrize("field, value", [("n", "1.9"), ("q", "2.0"), ("n", '"2"')])
+    def test_json_header_fields_follow_the_symbol_rule(self, tmp_path, field, value):
+        # as for symbols, integer-valued floats and strings are refused too
+        header = {"n": "1", "q": "2", field: value}
+        path = tmp_path / "d.json"
+        path.write_text(f'{{"n": {header["n"]}, "q": {header["q"]}, '
+                        '"atoms": [{"x": [0], "p": 1.0}]}')
+        message = f"{path}: malformed JSON distribution: field '{field}' = {json.loads(value)!r}"
+        with pytest.raises(DistributionError, match=f"^{re.escape(message)} is not an integer$"):
+            from_json(path)
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -328,15 +328,15 @@ class TestEmitScatter:
     def test_overlay_contents(self, tmp_path):
         cfg = ScanConfig(4, 2, mode="random", sample_count=10, seed=0)
         emit_scatter(cfg, tmp_path)
-        eq1 = [l for l in (tmp_path / "overlay_eq1.csv").read_text().splitlines()
-               if not l.startswith("#")]
-        assert eq1 == ["k,slope", "1,3", "2,1"]
-        bounds = [l for l in (tmp_path / "overlay_bounds.csv").read_text().splitlines()
-                  if not l.startswith("#")]
-        assert bounds == ["k,constant_bound", "1,3", "2,6", "3,3"]
-        eq4 = [l for l in (tmp_path / "overlay_eq4.csv").read_text().splitlines()
-               if not l.startswith("#")]
-        assert eq4 == ["slope,intercept", "1,0"]
+        meta = (b"# tool=cohesionlab-scan\n# n=4\n# q=2\n# mode=random\n# resolution=6\n"
+                b"# samples=10\n# seed=0\n# measures=c1,c2,c3\n# units=base-q\n")
+        expected = {
+            "overlay_eq1.csv": b"# overlay=adjacent-order rays\nk,slope\n1,3\n2,1\n",
+            "overlay_bounds.csv": b"# overlay=constant ceilings\nk,constant_bound\n1,3\n2,6\n3,3\n",
+            "overlay_eq4.csv": b"# overlay=divergence bound diagonal\nslope,intercept\n1,0\n",
+        }
+        for name, body in expected.items():
+            assert (tmp_path / name).read_bytes() == meta + body, name
 
     def test_metadata_lines(self, tmp_path):
         cfg = ScanConfig(3, 2, mode="random", sample_count=5, seed=11,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohesionlab import maxent
 from cohesionlab.codes import LinearCode, code_to_distribution
 from cohesionlab.cohesion import cohesion_k, cohesion_orders
 from cohesionlab.dist import (
@@ -29,6 +30,71 @@ from cohesionlab.maxent import (
     projection_json,
 )
 from conftest import random_distribution
+
+
+def reference_ipf(targets, k, tol, max_sweeps):
+    """IPF with the double-np.where step and a second residual loop: the
+    oracle the masked-division step must match bit for bit."""
+    n = targets.ndim - 1
+    subsets = list(combinations(range(n), k))
+    complements = {A: tuple(ax + 1 for ax in range(n) if ax not in A) for A in subsets}
+    target_margs = {A: targets.sum(axis=complements[A], keepdims=True) for A in subsets}
+    cur = np.full_like(targets, 1.0 / float(np.prod(targets.shape[1:])))
+    residual, sweeps = math.inf, 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweeps in range(1, max_sweeps + 1):
+            for A in subsets:
+                cm = cur.sum(axis=complements[A], keepdims=True)
+                cur *= np.where(cm > 0.0, target_margs[A] / np.where(cm > 0.0, cm, 1.0), 0.0)
+            residual = 0.0
+            for A in subsets:
+                cm = cur.sum(axis=complements[A], keepdims=True)
+                residual = max(residual, float(np.abs(cm - target_margs[A]).max()))
+            if residual < tol:
+                break
+    return cur, sweeps, residual
+
+
+def reference_divergence(targets, others, base):
+    """Rowwise D(target || other) through three np.where: the oracle."""
+    t = targets.reshape(targets.shape[0], -1)
+    o = others.reshape(others.shape[0], -1)
+    mask = t > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(mask, t * np.log(np.where(mask, t, 1.0) / np.where(o > 0.0, o, 1.0)), 0.0)
+    out = terms.sum(axis=1) / math.log(base)
+    out[np.where((t > 0) & (o <= 0))[0]] = math.inf
+    return np.maximum(out, 0.0)
+
+
+def sparse_batch(rng, n, q, rows=48):
+    """Dirichlet rows with a fifth of the cells zeroed, every seventh row
+    with a zero marginal on axis 0 and every eleventh on the last axis."""
+    cube = rng.dirichlet(np.ones(q**n), size=rows).reshape((rows,) + (q,) * n)
+    cube[rng.random(cube.shape) < 0.2] = 0.0
+    cube[::7, 0] = 0.0
+    cube[3::11, ..., q - 1] = 0.0
+    flat = cube.reshape(rows, -1)
+    flat[flat.sum(axis=1) == 0.0, -1] = 1.0
+    return cube / flat.sum(axis=1).reshape((rows,) + (1,) * n)
+
+
+@pytest.mark.parametrize("n, q, k", [(4, 2, 1), (4, 2, 2), (4, 2, 3), (3, 3, 1), (3, 3, 2)])
+@pytest.mark.parametrize("tol, max_sweeps", [(1e-4, 2000), (1e-10, 300)])
+def test_masked_division_matches_reference_bit_for_bit(n, q, k, tol, max_sweeps):
+    rng = np.random.default_rng(1000 * n + 10 * q + k)
+    targets = sparse_batch(rng, n, q)
+    proj, sweeps, residual = ipf_project_batch(targets, k, tol, max_sweeps)
+    ref, ref_sweeps, ref_residual = reference_ipf(targets, k, tol, max_sweeps)
+    assert np.array_equal(proj, ref)
+    assert (sweeps, residual) == (ref_sweeps, ref_residual)
+    # the projection keeps the target's support; a second sparse batch
+    # also has +inf rows, where the target has mass and the other has none
+    sparse = sparse_batch(rng, n, q)
+    assert np.isinf(batch_divergence(targets, sparse, 2.0)).any()
+    for others in (proj, sparse):
+        divs = batch_divergence(targets, others, float(q))
+        assert np.array_equal(divs, reference_divergence(targets, others, float(q)))
 
 
 class TestIPF:
@@ -195,6 +261,20 @@ class TestEq4:
             rep = check_eq4_bound(p, 1)
             assert rep.slack == pytest.approx(0.0, abs=1e-8)
             assert rep.bound == pytest.approx(cohesion_k(p, 1), abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_reports_skip_the_projection_distribution(rs_maximizer4, local_div_max4, monkeypatch, k):
+    for p in (rs_maximizer4, local_div_max4):
+        res = maxent_projection(p, k)
+        with monkeypatch.context() as m:
+            m.setattr(maxent, "from_dense", lambda *a: pytest.fail("projection built"))
+            payload = projection_json(p, k, maxent.DEFAULT_TOL, maxent.DEFAULT_MAX_SWEEPS)
+            rep = check_eq4_bound(p, k)
+        assert (payload["divergence"], payload["iterations"], payload["residual"],
+                payload["converged"]) == (res.divergence, res.iterations, res.residual,
+                                          res.converged)
+        assert (rep.divergence, rep.converged) == (res.divergence, res.converged)
 
 
 def test_projection_json_schema(parity3):

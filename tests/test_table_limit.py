@@ -1,7 +1,7 @@
-"""One limit, `dist.TABLE_LIMIT`, guards every table built whole: q^n cells,
-2^n subset masks, q^k codewords and C(n,k) column subsets. Each guard runs
-at exactly the limit and refuses one entry above it, in its own error
-class, naming the table and its entry count."""
+"""One limit, `dist.TABLE_LIMIT`, guards every table built whole: q^n cells
+(a scan's rows included), 2^n subset masks, q^k codewords and C(n,k) column
+subsets. Each guard runs at exactly the limit and refuses one entry above it,
+in its own error class, naming the table and its entry count."""
 
 import json
 import re
@@ -12,7 +12,8 @@ from cohesionlab import dist
 from cohesionlab.cli import main
 from cohesionlab.codes import enumerate_codewords, k_column_independence, min_distance, rs_generator
 from cohesionlab.dist import JointDistribution, entropy_table, to_dense
-from cohesionlab.errors import CodeError, DistributionError, MatroidError
+from cohesionlab.errors import CodeError, DistributionError, MatroidError, ScanError
+from cohesionlab.explore import ScanConfig
 from cohesionlab.gf import make_field
 from cohesionlab.matroid import code_rank_report, vector_matroid
 from cohesionlab.maxent import dense_table
@@ -34,6 +35,8 @@ CASES = {
     "min_distance": (lambda: min_distance(RS8), "codeword table: 8^3", 512, CodeError),
     "k_column_independence": (lambda: k_column_independence(RS8), "column subsets: C(8,3)", 56,
                               CodeError),
+    "ScanConfig": (lambda: ScanConfig(3, 5, measures=("c1",)), "dense table: 5^3", 125,
+                   ScanError),
 }
 
 
