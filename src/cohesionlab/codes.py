@@ -3,10 +3,11 @@ code -> distribution conversion.
 
 Reed-Solomon generators are built in the classical q = n case by
 evaluating the monomial basis 1, z, ..., z^(k-1) at the point list
-(0, 1, alpha, ..., alpha^(q-2)), giving a Vandermonde matrix. Codeword
-enumeration runs messages in lexicographic order so table reproduction
-is bit-exact. Ranks and codewords come from the batched log-domain
-kernels in `gf`.
+(0, 1, alpha, ..., alpha^(q-2)), giving a Vandermonde matrix: an MDS
+code, d = n-k+1, by the Reed-Solomon theorem. Codewords are enumerated,
+messages in lexicographic order, only as output or as the `min_distance`
+reference. Ranks and codewords come from the batched log-domain kernels
+in `gf`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from math import comb
 
 import numpy as np
 
-from . import dist
 from .dist import JointDistribution, _check_table
 from .errors import CodeError
 from .gf import BATCH_LABELS, FieldSpec, batch_rank, column_subset_ranks, matmul
@@ -107,7 +107,8 @@ def enumerate_codewords(c: LinearCode) -> list[tuple]:
 
 def min_distance(c: LinearCode) -> CodeParams:
     """Exact minimum distance by exhaustive nonzero-weight scan (the code
-    is linear, so min distance equals min nonzero weight)."""
+    is linear, so min distance equals min nonzero weight): the reference
+    that tests hold the Reed-Solomon theorem in `generator_json` to."""
     best = c.n
     for chunk in _codeword_chunks(c):
         weights = np.count_nonzero(chunk, axis=1)
@@ -115,10 +116,15 @@ def min_distance(c: LinearCode) -> CodeParams:
     return CodeParams(c.n, c.k, c.q, best)
 
 
+def _k_subset_ranks(c: LinearCode) -> np.ndarray:
+    """rank(G_S) for every k-subset S of columns, in combinations order."""
+    _check_table(comb(c.n, c.k), f"column subsets: C({c.n},{c.k})", CodeError)
+    return column_subset_ranks(c.field, c.generator, c.k)
+
+
 def k_column_independence(c: LinearCode) -> bool:
     """True iff every k-subset of generator columns has full rank."""
-    _check_table(comb(c.n, c.k), f"column subsets: C({c.n},{c.k})", CodeError)
-    return bool((column_subset_ranks(c.field, c.generator, c.k) == c.k).all())
+    return bool((_k_subset_ranks(c) == c.k).all())
 
 
 def column_subset_rank(c: LinearCode, cols) -> int:
@@ -137,10 +143,10 @@ def code_to_distribution(c: LinearCode) -> JointDistribution:
 
 
 def generator_json(c: LinearCode) -> dict:
-    params = None
-    if c.q**c.k <= dist.TABLE_LIMIT:
-        cp = min_distance(c)
-        params = {"n": cp.n, "k": cp.k, "q": cp.q, "d": cp.d, "is_mds": cp.is_mds}
+    """JSON view of an `rs_generator` code, and of no other: its params
+    come from the Reed-Solomon theorem (k Vandermonde rows on distinct
+    points make every k columns independent, so d = n-k+1), not codewords."""
+    params = {"n": c.n, "k": c.k, "q": c.q, "d": c.n - c.k + 1, "is_mds": True}
     return {
         "q": c.q,
         "k": c.k,

@@ -306,13 +306,18 @@ def product_of_marginals(p: JointDistribution) -> JointDistribution:
 # Dense view (small index spaces only)
 # ---------------------------------------------------------------------------
 
-def to_dense(p: JointDistribution) -> list[float]:
-    """Flat probability vector of length q^n, row-major outcome order."""
+def _dense_vector(p: JointDistribution) -> np.ndarray:
+    """Flat float64 array of length q^n, row-major outcome order."""
     _check_table(p.q**p.n, f"dense table: {p.q}^{p.n}")
     cells = np.ravel_multi_index(np.array(list(p.atoms)).T, (p.q,) * p.n)
     vec = np.zeros(p.q**p.n)
     vec[cells] = list(p.atoms.values())
-    return vec.tolist()
+    return vec
+
+
+def to_dense(p: JointDistribution) -> list[float]:
+    """Flat probability vector of length q^n, row-major outcome order."""
+    return _dense_vector(p).tolist()
 
 
 def from_dense(vec, n: int, q: int) -> JointDistribution:

@@ -42,6 +42,8 @@ class ScanConfig:
     measures: tuple = ("c1", "c2", "c3")
 
     def __post_init__(self):
+        if self.q < 2:
+            raise ScanError("alphabet size must be >= 2")
         if self.resolution < 1:
             raise ScanError("resolution must be >= 1")
         if self.sample_count < 1:
@@ -103,7 +105,7 @@ def grid_vectors(cfg: ScanConfig):
 def grid_enumerate(cfg: ScanConfig):
     """Stream of JointDistributions on the discretized simplex."""
     for vec in grid_vectors(cfg):
-        yield from_dense(vec.tolist(), cfg.n, cfg.q)
+        yield from_dense(vec, cfg.n, cfg.q)
 
 
 def sample_matrix(rng: np.random.Generator, count: int, dims: int) -> np.ndarray:
@@ -114,7 +116,7 @@ def random_sample(cfg: ScanConfig):
     """Stream of Dirichlet(1) samples, reproducible from the seed."""
     rng = np.random.default_rng(cfg.seed)
     for row in sample_matrix(rng, cfg.sample_count, cfg.dims):
-        yield from_dense(row.tolist(), cfg.n, cfg.q)
+        yield from_dense(row, cfg.n, cfg.q)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +266,7 @@ def local_search_max(
     best_vec = np.maximum(best_vec, 0.0)
     best_vec /= best_vec.sum()
     return SearchResult(
-        from_dense(best_vec.tolist(), cfg.n, cfg.q),
+        from_dense(best_vec, cfg.n, cfg.q),
         best_val,
         measure,
         len(starts),

@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .cohesion import cohesion_k
-from .dist import JointDistribution, from_dense, to_dense
+from .dist import JointDistribution, _dense_vector, from_dense
 from .errors import DistributionError
 
 DEFAULT_TOL = 1e-10
@@ -35,7 +35,7 @@ class ProjectionResult:
 
 
 def dense_table(p: JointDistribution) -> np.ndarray:
-    return np.asarray(to_dense(p), dtype=float).reshape((p.q,) * p.n)
+    return _dense_vector(p).reshape((p.q,) * p.n)
 
 
 def ipf_project_batch(
@@ -106,7 +106,7 @@ def maxent_projection(
     order marginals, with its divergence in the requested base."""
     proj, div, sweeps, residual, b = _fit(p, k, tol, max_sweeps, base)
     flat = proj.ravel()  # fitted only to tol, so its total drifts from 1
-    projection = from_dense((flat / math.fsum(flat)).tolist(), p.n, p.q)
+    projection = from_dense(flat / math.fsum(flat), p.n, p.q)
     return ProjectionResult(projection, div, sweeps, residual, residual < tol, b)
 
 

@@ -1,8 +1,9 @@
 import json
+from math import comb
 
 import pytest
 
-from cohesionlab import explore
+from cohesionlab import codes, dist, explore
 from cohesionlab.cli import main, run_maximizer
 from cohesionlab.dist import from_csv, to_csv
 from conftest import RS4_ATOMS
@@ -141,6 +142,24 @@ class TestCodeCommand:
     def test_k_too_large(self, capsys):
         assert main(["code", "rs", "--p", "2", "--m", "1", "--k", "5"]) == 1
 
+    @pytest.mark.parametrize("emit, enumerations", [(False, 0), (True, 1)])
+    def test_codewords_enumerated_only_when_written(self, tmp_path, capsys, monkeypatch,
+                                                     emit, enumerations):
+        calls = []
+        chunks = codes._codeword_chunks
+
+        def counting(c):
+            calls.append(c)
+            return chunks(c)
+
+        monkeypatch.setattr(codes, "_codeword_chunks", counting)
+        argv = ["code", "rs", "--p", "3", "--m", "1", "--k", "2", "--json"]
+        if emit:
+            argv += ["--emit", str(tmp_path / "rs.csv")]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["d"] == 2
+        assert len(calls) == enumerations
+
 
 class TestMatroidCommand:
     def test_from_dist_uniform(self, rs_csv, capsys):
@@ -262,6 +281,17 @@ class TestScanCommand:
         assert err.startswith("error:") and "restarts" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("q", [-2, 0, 1])
+    @pytest.mark.parametrize("mode", ["random", "grid", "search"])
+    def test_alphabet_below_two_makes_nothing(self, tmp_path, capsys, mode, q):
+        out = tmp_path / "scan"
+        assert main(["scan", "--n", "3", "--q", str(q), "--mode", mode, "--samples", "4",
+                     "--measures", "c1", "--objective", "d1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alphabet size must be >= 2\n"
+        assert not out.exists()
+
     def test_search_bad_objective(self, capsys):
         assert main(["scan", "--n", "3", "--q", "2", "--mode", "search",
                      "--objective", "c3"]) == 1
@@ -306,6 +336,17 @@ class TestMaximizerCommand:
 
     def test_bad_order(self, capsys):
         assert main(["maximizer", "4", "4"]) == 1
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (6, 2), (6, 3), (6, 4), (6, 5), (9, 3),
+                                      (10, 2), (12, 2)])
+    def test_certificate_is_exact_from_ranks(self, monkeypatch, n, k):
+        def no_entropies(*args):
+            raise AssertionError("the certificate must not need subset entropies")
+
+        monkeypatch.setattr(dist, "_sparse_entropies", no_entropies)
+        _, cert = run_maximizer(n, k)
+        assert cert["cohesion"] == cert["constant_bound"] == k * comb(n - 1, k)
+        assert cert["meets_bound"] and cert["matroid_uniform"]
 
 
 def test_version(capsys):

@@ -1,12 +1,16 @@
+from math import comb
+
 import numpy as np
 import pytest
 
 from cohesionlab.codes import (
     CodeParams,
     LinearCode,
+    _k_subset_ranks,
     code_to_distribution,
     column_subset_rank,
     enumerate_codewords,
+    generator_json,
     k_column_independence,
     min_distance,
     rs_generator,
@@ -125,6 +129,64 @@ class TestColumnIndependence:
             params = min_distance(code)
             assert k_column_independence(code) == params.is_mds
             checked += 1
+
+
+def test_rs_params_from_the_theorem_match_min_distance():
+    # every prime power q <= 16 and every k with q^k <= 2^14
+    checked = 0
+    for q in range(2, 17):
+        if not (pm := is_prime_power(q)):
+            continue
+        f = make_field(*pm)
+        for k in range(1, q + 1):
+            if q**k > 1 << 14:
+                break
+            code = rs_generator(f, k)
+            cp = min_distance(code)
+            want = {"n": cp.n, "k": cp.k, "q": cp.q, "d": cp.d, "is_mds": cp.is_mds}
+            assert generator_json(code)["params"] == want
+            checked += 1
+    assert checked == 36
+
+
+class TestRankCohesion:
+    """Cohesion-k of a code's uniform distribution is
+    sum_{|S|=k} rank(G_S) - C(n-1,k-1) k, since H(X_S) = rank(G_S) in base q."""
+
+    @staticmethod
+    def from_ranks(code):
+        return int(_k_subset_ranks(code).sum()) - comb(code.n - 1, code.k - 1) * code.k
+
+    @pytest.mark.parametrize("q, k", [(2, 1), (3, 2), (4, 2), (5, 3), (7, 4), (8, 3), (9, 2)])
+    def test_mds_codes(self, q, k):
+        code = rs_generator(make_field(*is_prime_power(q)), k)
+        assert self.from_ranks(code) == k * comb(q - 1, k)
+        assert cohesion_k(code_to_distribution(code), k) == pytest.approx(
+            self.from_ranks(code), abs=1e-9)
+
+    def test_binary_code_with_a_repeated_column(self):
+        # columns 0 and 1 are equal, so one pair has rank 1: 5*2 + 1 - 3*2 = 5
+        code = LinearCode.from_rows(GF2, [(1, 1, 0, 1), (0, 0, 1, 1)])
+        assert not k_column_independence(code)
+        assert self.from_ranks(code) == 5
+        assert cohesion_k(code_to_distribution(code), 2) == pytest.approx(5.0, abs=1e-9)
+
+    def test_random_codes(self):
+        # seed 29 gives 36 full-rank codes, 29 of them not MDS
+        rng = np.random.default_rng(29)
+        checked = 0
+        for _ in range(40):
+            f = (GF2, GF3, GF4)[int(rng.integers(3))]
+            n = int(rng.integers(2, 7))
+            k = int(rng.integers(1, n))
+            rows = rng.integers(0, f.order, size=(k, n)).tolist()
+            if matrix_rank(f, rows) != k:
+                continue
+            code = LinearCode.from_rows(f, rows)
+            assert cohesion_k(code_to_distribution(code), k) == pytest.approx(
+                self.from_ranks(code), abs=1e-9)
+            checked += 1
+        assert checked == 36
 
 
 class TestCodeDistribution:

@@ -51,10 +51,11 @@ def test_runs_at_the_limit_and_refuses_one_entry_above(name, monkeypatch):
         call()
 
 
-@pytest.mark.parametrize("limit, has_params", [(16, True), (15, False)])
-def test_code_rs_json_drops_params_above_the_limit(limit, has_params, monkeypatch, capsys):
-    # RS over GF(4) with k = 2 has 4^2 = 16 codewords
+@pytest.mark.parametrize("limit", [16, 15])
+def test_code_rs_json_keeps_params_above_the_limit(limit, monkeypatch, capsys):
+    # RS over GF(4) with k = 2 has 4^2 = 16 codewords; its params come from
+    # the Reed-Solomon theorem, so they need no codeword table
     monkeypatch.setattr(dist, "TABLE_LIMIT", limit)
     assert main(["code", "rs", "--p", "2", "--m", "2", "--k", "2", "--json"]) == 0
     params = json.loads(capsys.readouterr().out)["params"]
-    assert (params is not None) == has_params
+    assert (params["d"], params["is_mds"]) == (3, True)
