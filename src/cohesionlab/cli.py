@@ -207,15 +207,13 @@ def run_maximizer(n: int, k: int):
     q >= n: the classical code when n is a prime power, otherwise its
     first n columns (a shortened RS code), so no search runs.
     """
-    if not 1 <= k <= n - 1:
-        raise ToolError(f"interaction order k={k} outside 1..{n - 1}")
+    bound = constant_bound(n, k)
     field = make_field(*next(pm for pm in map(is_prime_power, count(n)) if pm))
     code = LinearCode.from_rows(field, find_uniform_representation(k, n, field))
     q = code.q
     dist = code_to_distribution(code)
     ranks = _k_subset_ranks(code)
     value = float(int(ranks.sum()) - math.comb(n - 1, k - 1) * k)  # H(X_S) = rank(G_S), base q
-    bound = constant_bound(n, k)
     bits = math.log(q) / math.log(2.0)
     certificate = {
         "n": n,

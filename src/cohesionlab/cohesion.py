@@ -16,16 +16,20 @@ from math import comb
 
 import numpy as np
 
-from .dist import JointDistribution, _log_base, order_entropies
+from .dist import JointDistribution, _base, order_entropies
 from .errors import DistributionError
 
 BOUND_TOL = 1e-9
 
 
-def constant_bound(n: int, k: int) -> float:
-    """Ceiling k * C(n-1, k) on Cohesion-k, in base-q units."""
+def _check_order(k: int, n: int) -> None:
     if not 1 <= k <= n - 1:
         raise DistributionError(f"interaction order k={k} outside 1..{n - 1}")
+
+
+def constant_bound(n: int, k: int) -> float:
+    """Ceiling k * C(n-1, k) on Cohesion-k, in base-q units."""
+    _check_order(k, n)
     return float(k * comb(n - 1, k))
 
 
@@ -39,8 +43,7 @@ def cohesion_orders(x, orders, base: float | None = None) -> np.ndarray:
     orders = tuple(orders)
     n = x.n if isinstance(x, JointDistribution) else x.ndim - 1
     for k in orders:
-        if not 1 <= k <= n - 1:
-            raise DistributionError(f"interaction order k={k} outside 1..{n - 1}")
+        _check_order(k, n)
     h = order_entropies(x, orders + (n,), base)
     weights = np.array([comb(n - 1, k - 1) for k in orders], dtype=float)
     return h[..., :-1] - weights * h[..., -1:]
@@ -69,10 +72,9 @@ class CohesionProfile:
         return self.values[k - 1]
 
     def rebase(self, base: float | None = None) -> "CohesionProfile":
-        """The same profile in another log base (default q); bases <= 1
-        raise DistributionError."""
-        b = float(self.q if base is None else base)
-        f = math.log(self.base) / _log_base(self.q, b)
+        """The same profile in another log base: q by default, else finite and > 1."""
+        b = _base(self.q, base)
+        f = math.log(self.base) / math.log(b)
         return replace(self, base=b, values=tuple(v * f for v in self.values),
                        constant_bounds=tuple(v * f for v in self.constant_bounds))
 

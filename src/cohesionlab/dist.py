@@ -144,11 +144,12 @@ def marginalize(p: JointDistribution, mask: int) -> JointDistribution:
     return JointDistribution(len(idx), p.q, out)
 
 
-def _log_base(q: int, base: float | None) -> float:
-    b = q if base is None else base
-    if b <= 1:
-        raise DistributionError("log base must be > 1")
-    return math.log(b)
+def _base(q: int, base: float | None) -> float:
+    """The log base, q by default; refused unless finite and > 1."""
+    b = float(q if base is None else base)
+    if not 1 < b < math.inf:  # NaN fails here too
+        raise DistributionError(f"log base must be {'finite' if b == math.inf else '> 1'}")
+    return b
 
 
 def _xlogx(m: np.ndarray) -> np.ndarray:
@@ -158,7 +159,7 @@ def _xlogx(m: np.ndarray) -> np.ndarray:
 
 def entropy(p: JointDistribution, base: float | None = None) -> float:
     """Shannon entropy; zero-mass atoms contribute nothing (0 log 0 = 0)."""
-    logb = _log_base(p.q, base)
+    logb = math.log(_base(p.q, base))
     return -sum(m * math.log(m) for m in p.atoms.values()) / logb
 
 
@@ -195,7 +196,7 @@ def _sparse_entropies(p: JointDistribution, max_order: int) -> dict:
 def entropy_table(p: JointDistribution, base: float | None = None) -> list[float]:
     """All 2^n subset entropies, indexed by subset mask (index 0 -> 0.0)."""
     _check_table(1 << p.n, f"entropy table: 2^{p.n}")
-    logb = _log_base(p.q, base)
+    logb = math.log(_base(p.q, base))
     table = _sparse_entropies(p, p.n)
     return [0.0] + [float(table[mask]) / logb for mask in range(1, 1 << p.n)]
 
@@ -266,7 +267,7 @@ def order_entropies(x, orders, base: float | None = None) -> np.ndarray:
     n, q = (x.n, x.q) if sparse else (x.ndim - 1, x.shape[1])
     if not orders or len(set(orders)) < len(orders) or not all(1 <= k <= n for k in orders):
         raise DistributionError(f"subset sizes {orders} are not distinct sizes in 1..{n}")
-    return (_sparse_sums if sparse else _dense_sums)(x, orders) / _log_base(q, base)
+    return (_sparse_sums if sparse else _dense_sums)(x, orders) / math.log(_base(q, base))
 
 
 def kl_divergence(
@@ -277,14 +278,14 @@ def kl_divergence(
         raise DistributionError(
             f"shape mismatch: ({p.n},{p.q}) vs ({r.n},{r.q})"
         )
-    b = p.q if base is None else base
+    logb = math.log(_base(p.q, base))
     total = 0.0
     for outcome, pm in p.atoms.items():
         rm = r.atoms.get(outcome, 0.0)
         if rm <= 0.0:
             return math.inf
         total += pm * math.log(pm / rm)
-    return max(total, 0.0) / math.log(b)
+    return max(total, 0.0) / logb
 
 
 def product_of_marginals(p: JointDistribution) -> JointDistribution:
@@ -385,8 +386,7 @@ def from_csv(path, q: int | None = None) -> JointDistribution:
         raise DistributionError(f"{path}: no distribution rows found")
     n = len(header) - 1
     if q is None:
-        q = meta_q if meta_q is not None else max(max(o) for o, _ in rows) + 1
-        q = max(q, 2)
+        q = meta_q if meta_q is not None else max(2, max(max(o) for o, _ in rows) + 1)
     atoms: dict = {}
     for outcome, mass in rows:
         atoms[outcome] = atoms.get(outcome, 0.0) + mass

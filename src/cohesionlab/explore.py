@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .cohesion import cohesion_orders, constant_bound
-from .dist import JointDistribution, _check_table, from_dense, order_entropies
+from .dist import JointDistribution, _base, _check_table, from_dense, order_entropies
 from .errors import ScanError
 from .maxent import DEFAULT_MAX_SWEEPS, DEFAULT_TOL, batch_divergence, ipf_project_batch
 
@@ -51,6 +51,8 @@ class ScanConfig:
         if self.mode not in ("grid", "random", "search"):
             raise ScanError(f"unknown scan mode {self.mode!r}")
         _check_table(self.dims, f"dense table: {self.q}^{self.n}", ScanError)
+        if not self.measures or len(set(self.measures)) < len(self.measures):
+            raise ScanError(f"measures {','.join(self.measures)!r}: need at least one, no repeats")
         for m in self.measures:
             parse_measure(m, self.n)
 
@@ -169,7 +171,7 @@ def make_objective(n: int, q: int, measure: str, base: float | None = None,
     tally["ipf_unconverged"] when a tally is given.
     """
     kind, k = parse_measure(measure, n)
-    b = float(q if base is None else base)
+    b = _base(q, base)
 
     def values(batch: np.ndarray) -> np.ndarray:
         cube = batch.reshape((batch.shape[0],) + (q,) * n)

@@ -23,7 +23,7 @@ import numpy as np
 from .codes import rs_generator
 from .dist import JointDistribution, _check_table, entropy_table
 from .errors import MatroidError, SearchBudgetExceeded
-from .gf import FieldSpec, column_subset_ranks
+from .gf import FieldSpec, batch_rank, column_subset_ranks
 
 INTEGER_TOL = 1e-6
 NEAR_MATROID_TOL = 1e-3
@@ -70,20 +70,22 @@ def entropy_rank_report(p: JointDistribution) -> RankReport:
 
 
 def _matrix_ranks(field: FieldSpec, matrix, n: int) -> np.ndarray:
-    """Column-submatrix rank indexed by subset mask.
+    """Column-submatrix rank indexed by subset mask, from the bases.
 
-    Subsets with at most as many columns as the matrix has rows are
-    ranked in one batch per size. A larger subset is dependent, so its
-    rank is the largest rank among its subsets: one subset-max pass per
-    column fills it exactly.
+    Only the subsets of size r = rank of the matrix are ranked, in one
+    kernel call. One pass per column j then applies r(S-j) >= r(S) - 1, which
+    gives every subset of a basis its size, and r(S+j) >= r(S), which
+    gives every other subset the rank of its largest independent subset.
     """
     _check_table(1 << n, f"rank table: 2^{n}", MatroidError)
     ranks = np.zeros(1 << n, dtype=np.int64)
-    for size in range(1, min(len(matrix), n) + 1):
-        masks = [sum(1 << j for j in s) for s in combinations(range(n), size)]
-        ranks[masks] = column_subset_ranks(field, matrix, size)
+    r = int(batch_rank(field, [matrix])[0]) if n else 0
+    if r:
+        masks = [sum(1 << j for j in s) for s in combinations(range(n), r)]
+        ranks[masks] = column_subset_ranks(field, matrix, r)
     for j in range(n):
         pairs = ranks.reshape(-1, 2, 1 << j)  # [.., 0, ..] lacks column j
+        np.maximum(pairs[:, 0], pairs[:, 1] - 1, out=pairs[:, 0])
         np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
     return ranks
 

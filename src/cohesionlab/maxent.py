@@ -16,8 +16,8 @@ from math import comb
 
 import numpy as np
 
-from .cohesion import cohesion_k
-from .dist import JointDistribution, _dense_vector, from_dense
+from .cohesion import _check_order, cohesion_k
+from .dist import JointDistribution, _base, _dense_vector, from_dense
 from .errors import DistributionError
 
 DEFAULT_TOL = 1e-10
@@ -52,8 +52,7 @@ def ipf_project_batch(
     """
     targets = np.asarray(targets, dtype=float)
     n = targets.ndim - 1
-    if not 1 <= k <= n - 1:
-        raise DistributionError(f"interaction order k={k} outside 1..{n - 1}")
+    _check_order(k, n)
     axes = [tuple(ax + 1 for ax in range(n) if ax not in A) for A in combinations(range(n), k)]
     margs = [targets.sum(axis=c, keepdims=True) for c in axes]
     size = float(np.prod(targets.shape[1:]))
@@ -89,7 +88,7 @@ def _fit(p: JointDistribution, k: int, tol: float, max_sweeps: int, base: float 
     distribution: (fitted table, D(p || p^(k)), sweeps, residual, base)."""
     if max_sweeps < 1 or not tol > 0.0:
         raise DistributionError(f"IPF needs max_sweeps >= 1 and tol > 0, got {max_sweeps}, {tol}")
-    b = float(p.q if base is None else base)
+    b = _base(p.q, base)
     target = dense_table(p)[np.newaxis]
     proj, sweeps, residual = ipf_project_batch(target, k, tol, max_sweeps)
     return proj[0], float(batch_divergence(target, proj, b)[0]), sweeps, residual, b

@@ -65,6 +65,8 @@ class TestCohesionCommand:
 # each loaded with a raw traceback or silently accepted before; None is a directory
 MALFORMED_FILES = {
     "q_not_integer.csv": "# q=x\nx0,p\n0,1.0\n",
+    "q_one.csv": "# q=1\nx0,p\n0,1.0\n",
+    "q_negative.csv": "# q=-3\nx0,x1,p\n0,0,0.5\n1,1,0.5\n",
     "not_json.json": "{\"n\": 1,",
     "text_mass.json": '{"n": 1, "q": 2, "atoms": [{"x": [0], "p": "zz"}]}',
     "text_symbol.json": '{"n": 2, "q": 2, "atoms": [{"x": ["a", 0], "p": 1.0}]}',
@@ -290,6 +292,19 @@ class TestScanCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: alphabet size must be >= 2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("measures", [",", "c1,c1"])
+    @pytest.mark.parametrize("mode", ["random", "grid"])
+    def test_empty_or_repeated_measures_make_nothing(self, tmp_path, capsys, mode, measures):
+        out = tmp_path / "scan"
+        assert main(["scan", "--n", "2", "--q", "2", "--mode", mode, "--samples", "3",
+                     "--resolution", "3", "--measures", measures, "--out", str(out),
+                     "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: measures ")
+        assert captured.err.count("\n") == 1
         assert not out.exists()
 
     def test_search_bad_objective(self, capsys):

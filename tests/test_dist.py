@@ -226,6 +226,19 @@ class TestIO:
         p = from_csv(path)
         assert (p.n, p.q) == (2, 4)
 
+    @pytest.mark.parametrize("declared", ["1", "-3"])
+    def test_declared_alphabet_used_as_written(self, tmp_path, declared):
+        path = tmp_path / "d.csv"
+        path.write_text(f"# q={declared}\nx0,x1,p\n0,0,0.5\n1,1,0.5\n")
+        message = f"{path}: alphabet size must be >= 2"
+        with pytest.raises(DistributionError, match=f"^{re.escape(message)}$"):
+            from_csv(path)
+
+    def test_inferred_alphabet_at_least_two(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x0,x1,p\n0,0,1.0\n")
+        assert from_csv(path).q == 2
+
     @pytest.mark.parametrize("field, value", [("n", "1.9"), ("q", "2.0"), ("n", '"2"')])
     def test_json_header_fields_follow_the_symbol_rule(self, tmp_path, field, value):
         # as for symbols, integer-valued floats and strings are refused too

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohesionlab import matroid
 from cohesionlab.codes import (
     LinearCode,
     code_to_distribution,
@@ -304,6 +305,21 @@ class TestVectorMatroid:
     def test_zero_matrix(self):
         view = vector_matroid(GF2, [[0, 0], [0, 0]])
         assert view.independents == frozenset({0})
+
+    def test_no_columns(self):
+        assert vector_matroid(GF2, []).ranks == (0,)
+        assert vector_matroid(GF2, [[]]).ranks == (0,)
+
+    def test_one_subset_rank_pass_per_table(self, monkeypatch):
+        # only the r-column subsets are ranked, r the rank of the matrix
+        calls = []
+        kernel = matroid.column_subset_ranks
+        monkeypatch.setattr(matroid, "column_subset_ranks",
+                            lambda *args: calls.append(args[2]) or kernel(*args))
+        assert is_isomorphic_uniform(vector_matroid(GF4, rs_generator(GF4, 3).generator), 3)
+        assert code_rank_report(rs_generator(GF4, 2)).ranks[-1] == 2
+        assert vector_matroid(GF3, [[1, 2, 0], [2, 1, 0], [0, 0, 0]]).ranks[-1] == 1
+        assert calls == [3, 2, 1]
 
     @settings(max_examples=80, deadline=None)
     @given(q=st.sampled_from((2, 3, 4, 5)), rows=st.integers(1, 3), data=st.data())
