@@ -9,6 +9,7 @@ switches any subcommand to machine-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -254,7 +255,11 @@ def cmd_maximizer(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. Each subcommand stores its
+    handler's name, which `main` looks up at call time, so a handler
+    rebound on the module (a wrapper, a test patch) is the one called."""
     parser = argparse.ArgumentParser(
         prog="cohesionlab",
         description="Higher-order dependence analysis for discrete distributions",
@@ -269,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--base", type=float, default=None, help="log base for the JSON report (default q)")
     add_json(p)
-    p.set_defaults(func=cmd_cohesion)
+    p.set_defaults(func="cmd_cohesion")
 
     p = sub.add_parser("maxent", help="max-entropy projection and divergence bound")
     p.add_argument("file")
@@ -277,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
     add_json(p)
-    p.set_defaults(func=cmd_maxent)
+    p.set_defaults(func="cmd_maxent")
 
     p = sub.add_parser("field", help="finite-field inspection")
     fsub = p.add_subparsers(dest="field_command", required=True)
@@ -285,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("p", type=int)
     ps.add_argument("m", type=int)
     add_json(ps)
-    ps.set_defaults(func=cmd_field_show)
+    ps.set_defaults(func="cmd_field_show")
 
     p = sub.add_parser("code", help="linear-code construction")
     csub = p.add_subparsers(dest="code_command", required=True)
@@ -295,21 +300,21 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--k", type=int, required=True)
     pc.add_argument("--emit", help="write the code distribution as CSV")
     add_json(pc)
-    pc.set_defaults(func=cmd_code_rs)
+    pc.set_defaults(func="cmd_code_rs")
 
     p = sub.add_parser("matroid", help="matroid extraction and probes")
     msub = p.add_subparsers(dest="matroid_command", required=True)
     pm = msub.add_parser("from-dist", help="entropy matroid of a distribution file")
     pm.add_argument("file")
     add_json(pm)
-    pm.set_defaults(func=cmd_matroid_from_dist)
+    pm.set_defaults(func="cmd_matroid_from_dist")
     pu = msub.add_parser("uniform-rep", help="is U_{k,n} representable over GF(p^m)?")
     pu.add_argument("--k", type=int, required=True)
     pu.add_argument("--n", type=int, required=True)
     pu.add_argument("--p", type=int, required=True)
     pu.add_argument("--m", type=int, required=True)
     add_json(pu)
-    pu.set_defaults(func=cmd_matroid_uniform_rep)
+    pu.set_defaults(func="cmd_matroid_uniform_rep")
 
     p = sub.add_parser("scan", help="simplex scans and local search")
     p.add_argument("--n", type=int, required=True)
@@ -325,23 +330,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-large", action="store_true",
                    help=f"permit grid scans above {LARGE_GRID_WARN:,} points")
     add_json(p)
-    p.set_defaults(func=cmd_scan)
+    p.set_defaults(func="cmd_scan")
 
     p = sub.add_parser("maximizer", help="globally maximizing distribution with certificate")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--emit", help="write the distribution as CSV")
     add_json(p)
-    p.set_defaults(func=cmd_maximizer)
+    p.set_defaults(func="cmd_maximizer")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (ToolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

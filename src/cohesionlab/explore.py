@@ -17,6 +17,7 @@ from math import comb
 
 import numpy as np
 
+from . import dist
 from .cohesion import cohesion_orders, constant_bound
 from .dist import JointDistribution, _base, _check_table, from_dense, order_entropies
 from .errors import ScanError
@@ -303,7 +304,8 @@ def emit_scatter(cfg: ScanConfig, out_dir, chunk: int = 4096) -> dict:
     """Write scatter + overlay CSVs for a scan; returns a summary.
 
     scatter.csv holds one row per scanned point with the requested
-    measures in base-q units, computed in batches of `chunk` points.
+    measures in base-q units, computed in batches of `chunk` points, and
+    of fewer when `chunk` rows of q^n cells would pass dist.TABLE_LIMIT.
     Overlay files carry the bound lines: adjacent-order rays
     y = ((n-k)/k) x, the constant ceilings, and the divergence-bound
     diagonal y = x. The summary's ipf_unconverged counts the divergence
@@ -314,6 +316,7 @@ def emit_scatter(cfg: ScanConfig, out_dir, chunk: int = 4096) -> dict:
     if chunk < 1:
         raise ScanError(f"chunk must be >= 1, got {chunk}")
     n, q = cfg.n, cfg.q
+    chunk = min(chunk, max(1, dist.TABLE_LIMIT // cfg.dims))  # a batch is a table built whole
     if cfg.mode == "grid":
         vectors = grid_vectors(cfg)
         batches = map(np.array, iter(lambda: list(islice(vectors, chunk)), []))
@@ -331,6 +334,7 @@ def emit_scatter(cfg: ScanConfig, out_dir, chunk: int = 4096) -> dict:
     tally = Counter()
     count = 0
     maxima = {m: -math.inf for m in cfg.measures}
+    line = "%d," + ",".join(["%.12g"] * len(cfg.measures)) + "\n"  # the bytes of f"{v:.12g}"
     with (out / "scatter.csv").open("w") as fh:
         fh.write("\n".join(_metadata_lines(cfg)) + "\n")
         fh.write("index," + ",".join(cfg.measures) + "\n")
@@ -342,8 +346,8 @@ def emit_scatter(cfg: ScanConfig, out_dir, chunk: int = 4096) -> dict:
                     for kind, k in parsed]
             for m, col in zip(cfg.measures, cols):
                 maxima[m] = max(maxima[m], float(col.max()))
-            for index, row in enumerate(zip(*cols), count):
-                fh.write(f"{index}," + ",".join(f"{v:.12g}" for v in row) + "\n")
+            indices = range(count, count + P.shape[0])
+            fh.write("".join(line % r for r in zip(indices, *(c.tolist() for c in cols))))
             count += P.shape[0]
 
     overlays = [

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from cohesionlab import codes, dist, explore
+from cohesionlab import cli, codes, dist, explore
 from cohesionlab.cli import main, run_maximizer
 from cohesionlab.dist import from_csv, to_csv
 from conftest import RS4_ATOMS
@@ -368,3 +368,26 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_handler_looked_up_at_call_time(self, rs_csv, capsys, monkeypatch):
+        assert main(["cohesion", rs_csv, "--json"]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_cohesion", lambda args: seen.append(args.file) or 7)
+        assert main(["cohesion", rs_csv, "--json"]) == 7
+        assert seen == [rs_csv]
+        monkeypatch.undo()
+        assert main(["cohesion", rs_csv, "--json"]) == 0
+
+    @pytest.mark.parametrize("argv, code", [(["--version"], 0), (["cohesion"], 2),
+                                            (["scan", "--n", "x", "--q", "2"], 2)])
+    def test_exit_codes_repeat(self, capsys, argv, code):
+        for _ in range(3):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        assert main(["maximizer", "4", "2", "--json"]) == 0

@@ -3,8 +3,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cohesionlab import explore
+from cohesionlab import dist, explore
 from cohesionlab.cohesion import cohesion_k, cohesion_orders, constant_bound
 from cohesionlab.dist import JointDistribution, to_dense
 from cohesionlab.errors import ScanError
@@ -397,3 +399,75 @@ class TestEmitScatter:
             want = make_objective(3, 3, m)(P)
             # the CSV keeps 12 significant digits
             assert rows[:, col] == pytest.approx(want, rel=5e-12, abs=1e-12)
+
+
+SPECIALS = [math.inf, math.nan, -0.0, 5e-324, 1.2e14, -math.inf, 1 / 3]
+
+
+def spy_columns(monkeypatch, inject=False):
+    """Record each batch's measure arrays in call order; with `inject`,
+    the first cohesion cells of every batch are overwritten by SPECIALS."""
+    calls = []
+    orders, divergences = explore.cohesion_orders, explore._divergences
+
+    def cohesion_spy(*args, **kwargs):
+        out = orders(*args, **kwargs)
+        if inject:
+            out.flat[:len(SPECIALS)] = SPECIALS[:out.size]
+        calls.append(("c", out))
+        return out
+
+    def divergence_spy(*args, **kwargs):
+        calls.append(("d", divergences(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(explore, "cohesion_orders", cohesion_spy)
+    monkeypatch.setattr(explore, "_divergences", divergence_spy)
+    return calls
+
+
+class TestScatterRows:
+    MEASURES = ("c2", "d1", "c1")
+
+    @pytest.mark.parametrize("mode", ["random", "grid"])
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    def test_rows_match_fstring_rendering(self, tmp_path, monkeypatch, mode, chunk):
+        # the rendering the one-template rows replaced: one f-string per
+        # numpy value, with inf, nan, -0.0 and subnormals in the columns
+        cfg = ScanConfig(3, 2, mode=mode, sample_count=40, resolution=3, seed=6,
+                         measures=self.MEASURES)
+        calls = spy_columns(monkeypatch, inject=True)
+        emit_scatter(cfg, tmp_path, chunk=chunk)
+        want, count = [], 0
+        for at in range(0, len(calls), 2):  # per batch: one c call, then d1
+            (_, cvals), (_, d1) = calls[at:at + 2]
+            cols = [cvals[:, 0], d1, cvals[:, 1]]  # c orders in measure order: (2, 1)
+            for index, row in enumerate(zip(*cols), count):
+                want.append(f"{index}," + ",".join(f"{v:.12g}" for v in row))
+            count += len(d1)
+        lines = (tmp_path / "scatter.csv").read_text().splitlines()
+        assert lines[lines.index("index,c2,d1,c1") + 1:] == want
+        assert {"inf", "nan", "-0", "4.94065645841e-324", "1.2e+14"} <= set(",".join(want).split(","))
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_percent_format_is_fstring_format(self, v):
+        assert "%.12g" % v == f"{v:.12g}" == f"{np.float64(v):.12g}"
+
+    @pytest.mark.parametrize("mode", ["random", "grid"])
+    def test_batches_stay_under_table_limit(self, tmp_path, monkeypatch, mode):
+        cfg = ScanConfig(4, 2, mode=mode, sample_count=30, resolution=2, seed=8,
+                         measures=("c1", "d1", "c3"))
+        emit_scatter(cfg, tmp_path / "whole")
+        calls = spy_columns(monkeypatch)
+        monkeypatch.setattr(dist, "TABLE_LIMIT", 64)  # 4 rows of 2^4 cells
+        emit_scatter(cfg, tmp_path / "capped")
+        assert calls and all(len(out) <= 4 for _, out in calls)
+
+        def columns(name):
+            lines = (tmp_path / name / "scatter.csv").read_text().splitlines()
+            return np.array([[float(v) for v in line.split(",")]
+                             for line in lines if not line.startswith(("#", "index"))])
+
+        whole, capped = columns("whole"), columns("capped")
+        assert whole.shape == capped.shape
+        assert np.abs(whole[:, [0, 1, 3]] - capped[:, [0, 1, 3]]).max() <= 1e-12
