@@ -174,31 +174,26 @@ def _sparse_entropies(p: JointDistribution, max_order: int) -> dict:
     """H in nats of every subset of 1..max_order variables, by mask.
 
     Depth-first over the subset lattice, holding only the current path: a
-    child's atom keys are its parent's `width` labels in mixed radix with
-    one more variable, below width * q, and the rank of each key among the
-    keys that occur is its dense child label (np.unique's inverse, without
-    the sort). Once the labels are one per atom, X_S determines X: each
-    subset the walk reaches from S (S plus later variables) has the same
-    marginal masses, so it gets the same value without a pass over the
-    atoms.
+    child's atom keys are its parent's labels in mixed radix with one more
+    variable, relabelled densely by np.unique so they never overflow. Once
+    the labels are one per atom, X_S determines X: each subset the walk
+    reaches from S (S plus later variables) has the same marginal masses,
+    so it gets the same value without a pass over the atoms.
     """
     outcomes = np.array(list(p.atoms), dtype=np.int64)
     masses = np.fromiter(p.atoms.values(), float, len(p.atoms))
     table = {}
 
-    def walk(mask, labels, width, start):
+    def walk(mask, labels, start):
         for i in range(start, p.n):
-            keys = labels * p.q + outcomes[:, i]
-            seen = np.zeros(width * p.q, dtype=bool)
-            seen[keys] = True
-            ranks = np.cumsum(seen) - 1
-            child, child_labels, child_width = mask | 1 << i, ranks[keys], int(ranks[-1]) + 1
+            keys, child_labels = np.unique(labels * p.q + outcomes[:, i], return_inverse=True)
+            child = mask | 1 << i
             table[child] = h = -_xlogx(np.bincount(child_labels, weights=masses)).sum()
             if child.bit_count() < max_order:
-                if child_width == len(masses):
+                if len(keys) == len(masses):
                     fill(child, i + 1, h)
                 else:
-                    walk(child, child_labels, child_width, i + 1)
+                    walk(child, child_labels, i + 1)
 
     def fill(mask, start, h):
         for i in range(start, p.n):
@@ -207,7 +202,7 @@ def _sparse_entropies(p: JointDistribution, max_order: int) -> dict:
             if child.bit_count() < max_order:
                 fill(child, i + 1, h)
 
-    walk(0, np.zeros(len(masses), dtype=np.int64), 1, 0)
+    walk(0, np.zeros(len(masses), dtype=np.int64), 0)
     return table
 
 
@@ -262,8 +257,10 @@ def _dense_sums(cube: np.ndarray, orders: tuple) -> np.ndarray:
     def walk(table, start):
         size = table.ndim - 2  # variables left in each child
         for j in range(start, size + 1):
-            # q slice adds in index order: numpy's sum over a short middle
-            # axis costs more, and adds in the same order
+            # q slice adds in index order cost less than numpy's sum over a
+            # short middle axis; the same addition order as that axis-sum for
+            # q <= 7, while for q >= 8 numpy sums a last axis pairwise, so the
+            # last bits can differ
             view = table.reshape(rows * q**j, q, -1)
             child = view[:, 0] + view[:, 1]
             for s in range(2, q):

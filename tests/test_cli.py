@@ -170,6 +170,18 @@ class TestMatroidCommand:
         assert payload["uniform_k"] == 2
         assert payload["integer_valued"]
 
+    def test_large_declared_alphabet(self, tmp_path, capsys):
+        # no table of q cells: a 2^40-letter alphabet with two atoms is quick
+        path = tmp_path / "wide.csv"
+        path.write_text(f"# q={2**40}\nx0,x1,p\n0,0,0.5\n{2**40 - 1},7,0.5\n")
+        assert main(["cohesion", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["values"] == [pytest.approx(1 / 40)]
+        assert main(["matroid", "from-dist", str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: not a matroid rank function: entropies are not "
+                                "integer-valued (max deviation 0.025)\n")
+
     def test_uniform_rep_gf2(self, capsys):
         assert main(["matroid", "uniform-rep", "--k", "2", "--n", "4",
                      "--p", "2", "--m", "1", "--json"]) == 0

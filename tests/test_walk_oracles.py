@@ -103,6 +103,17 @@ def test_sparse_walk_equals_unique_walk_on_shuffled_atoms(q, k):
     assert_walks_equal(JointDistribution(p.n, q, {atoms[i]: masses[i] for i in order}))
 
 
+@pytest.mark.parametrize("n, q, atoms", [(2, 2**40, 2), (2, 2**40, 3), (3, 2**16, 3000)])
+def test_sparse_walk_equals_unique_walk_on_large_alphabets(n, q, atoms):
+    # the walk's memory follows the atoms, not the alphabet
+    rng = np.random.default_rng(atoms)
+    outcomes = [(0,) * n, (q - 1,) + (0,) * (n - 1)]
+    while len(outcomes) < atoms:
+        outcomes = list(dict.fromkeys(outcomes + [tuple(int(x) for x in rng.integers(q, size=n))]))
+    masses = rng.dirichlet(np.ones(atoms))
+    assert_walks_equal(JointDistribution(n, q, dict(zip(outcomes, masses))))
+
+
 @pytest.mark.parametrize("q, k", [(4, 2), (5, 3), (7, 2), (8, 3), (9, 3), (9, 4)])
 def test_sparse_walk_stops_where_x_s_determines_x(monkeypatch, q, k):
     # any k columns of an [n, k] MDS code fix the codeword, so only the
