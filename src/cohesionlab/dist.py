@@ -2,8 +2,9 @@
 
 Outcomes are length-n tuples of symbols in 0..q-1, stored sparsely as an
 atom -> mass map. Variable subsets are plain n-bit integer masks (bit i
-selects variable i). Entropies default to base q, the convention used
-throughout the toolkit; pass an explicit base to convert.
+selects variable i), and set functions are arrays by mask. Entropies
+default to base q, the convention used throughout the toolkit; pass an
+explicit base to convert.
 
 Subset entropies H(X_S) come from two reductions here, picked by input
 type (JointDistribution atoms or a dense batch of tables); `marginalize`
@@ -40,14 +41,7 @@ def _check_table(entries: int, what: str, error=DistributionError) -> None:
 
 def mask_bits(mask: int) -> list[int]:
     """Variable indices selected by an integer subset mask, ascending."""
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def indices_to_mask(indices) -> int:
@@ -170,48 +164,47 @@ def subset_entropy(p: JointDistribution, mask: int, base: float | None = None) -
     return entropy(marginalize(p, mask), base)
 
 
-def _sparse_entropies(p: JointDistribution, max_order: int) -> dict:
-    """H in nats of every subset of 1..max_order variables, by mask.
+def _sparse_entropies(p: JointDistribution, max_order: int) -> list:
+    """The subsets of 1..max_order variables the walk computes, depth-first,
+    as (mask, last variable i, H in nats, stop).
 
-    Depth-first over the subset lattice, holding only the current path: a
-    child's atom keys are its parent's labels in mixed radix with one more
-    variable, relabelled densely by np.unique so they never overflow. Once
-    the labels are one per atom, X_S determines X: each subset the walk
-    reaches from S (S plus later variables) has the same marginal masses,
-    so it gets the same value without a pass over the atoms.
+    The walk holds only the current path. A child's atom keys are its
+    parent's labels in mixed radix with one more column, relabelled densely
+    by np.unique; each column is relabelled once first, so the radix is its
+    count of distinct symbols, not q, and keys stay below atoms^2. A stop has
+    one label per atom: X_S determines X, so every S | T with T above i has
+    the same H, and the walk goes no further from S.
     """
     outcomes = np.array(list(p.atoms), dtype=np.int64)
+    columns = [np.unique(c, return_inverse=True) for c in outcomes.T]
     masses = np.fromiter(p.atoms.values(), float, len(p.atoms))
-    table = {}
+    nodes = []
 
     def walk(mask, labels, start):
         for i in range(start, p.n):
-            keys, child_labels = np.unique(labels * p.q + outcomes[:, i], return_inverse=True)
+            symbols, column = columns[i]
+            keys, child_labels = np.unique(labels * len(symbols) + column, return_inverse=True)
             child = mask | 1 << i
-            table[child] = h = -_xlogx(np.bincount(child_labels, weights=masses)).sum()
-            if child.bit_count() < max_order:
-                if len(keys) == len(masses):
-                    fill(child, i + 1, h)
-                else:
-                    walk(child, child_labels, i + 1)
-
-    def fill(mask, start, h):
-        for i in range(start, p.n):
-            child = mask | 1 << i
-            table[child] = h
-            if child.bit_count() < max_order:
-                fill(child, i + 1, h)
+            h = -_xlogx(np.bincount(child_labels, weights=masses)).sum()
+            stop = len(keys) == len(masses)
+            nodes.append((child, i, h, stop))
+            if child.bit_count() < max_order and not stop:
+                walk(child, child_labels, i + 1)
 
     walk(0, np.zeros(len(masses), dtype=np.int64), 0)
-    return table
+    return nodes
 
 
 def entropy_table(p: JointDistribution, base: float | None = None) -> list[float]:
     """All 2^n subset entropies, indexed by subset mask (index 0 -> 0.0)."""
     _check_table(1 << p.n, f"entropy table: 2^{p.n}")
     logb = math.log(_base(p.q, base))
-    table = _sparse_entropies(p, p.n)
-    return [0.0] + [float(table[mask]) / logb for mask in range(1, 1 << p.n)]
+    table = np.zeros(1 << p.n)
+    for mask, i, h, _ in _sparse_entropies(p, p.n):
+        # every S | T with T above i; the walk computes or fills each of
+        # them after S, so a set keeps its own H, or its stop's
+        table[mask :: 2 << i] = h
+    return (table / logb).tolist()
 
 
 @lru_cache(maxsize=16)
@@ -227,13 +220,17 @@ def _incidence(n: int, q: int, orders: tuple):
 
 
 def _sparse_sums(p: JointDistribution, orders: tuple) -> np.ndarray:
-    """Entropy sums (nats) over the subsets of each size in `orders`."""
-    out = dict.fromkeys(range(1, p.n + 1), 0.0)
+    """Entropy sums (nats) over the subsets of each size in `orders`; a
+    stop at S adds its H once for each of the C(n-1-i, s-|S|) sets S | T
+    of size s, so no table by mask is built."""
+    out = np.zeros(p.n + 1)
     out[p.n] = -_xlogx(np.fromiter(p.atoms.values(), float, len(p.atoms))).sum()
-    lower = [k for k in orders if k < p.n]
-    for mask, h in _sparse_entropies(p, max(lower)).items() if lower else ():
-        out[mask.bit_count()] += h
-    return np.array([out[k] for k in orders])
+    top = max((k for k in orders if k < p.n), default=0)
+    for mask, i, h, stop in _sparse_entropies(p, top) if top else ():
+        size = mask.bit_count()
+        for s in range(size, top + 1 if stop else size + 1):
+            out[s] += h * comb(p.n - 1 - i, s - size)
+    return out[list(orders)]
 
 
 def _dense_sums(cube: np.ndarray, orders: tuple) -> np.ndarray:

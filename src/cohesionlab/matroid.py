@@ -1,9 +1,10 @@
 """Matroids from entropy functions, matrices, and uniform-matroid probes.
 
-A matroid is carried as its rank function, a table indexed by subset
-mask. A distribution whose subset entropies (base q) are integers
-bounded by cardinality gives one, with r(S) = H(S); so do the column
-ranks of a matrix over a finite field, and U_{k,n} is r(S) = min(|S|, k).
+Set functions are arrays by mask: a matroid is carried as its rank
+function, handed out as a tuple by mask. A distribution whose subset
+entropies (base q) are integers bounded by cardinality gives one, with
+r(S) = H(S); so do the column ranks of a matrix over a finite field, and
+U_{k,n} is r(S) = min(|S|, k).
 The independent sets are the S with r(S) = |S|. The uniform matroid is
 represented over GF(q) in closed form by a shortened or doubly extended
 Reed-Solomon code whenever n <= q+1. Beyond that, classical theorems on
@@ -21,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .codes import rs_generator
-from .dist import JointDistribution, _check_table, entropy_table
+from .dist import JointDistribution, _check_table, entropy_table, mask_bits
 from .errors import MatroidError, SearchBudgetExceeded
 from .gf import FieldSpec, batch_rank, column_subset_ranks
 
@@ -49,19 +50,25 @@ class MatroidView:
     @cached_property
     def independents(self) -> frozenset:
         """Subset masks whose rank equals their cardinality."""
-        return frozenset(m for m, r in enumerate(self.ranks) if r == m.bit_count())
+        independent = np.asarray(self.ranks) == _sizes(self.ground_size)
+        return frozenset(np.flatnonzero(independent).tolist())
+
+
+def _sizes(n: int) -> np.ndarray:
+    """|S| indexed by subset mask S."""
+    sizes = np.zeros(1 << n, dtype=np.int64)
+    for j in range(n):
+        sizes.reshape(-1, 2, 1 << j)[:, 1] += 1  # [.., 1, ..] holds column j
+    return sizes
 
 
 def _rank_report_from_values(n: int, values) -> RankReport:
-    max_dev = 0.0
-    bounded = True
-    for mask, h in enumerate(values):
-        max_dev = max(max_dev, abs(h - round(h)))
-        if h > mask.bit_count() + INTEGER_TOL:
-            bounded = False
+    values = np.asarray(values, dtype=float)
+    max_dev = float(np.abs(values - np.round(values)).max())
+    bounded = bool((values <= _sizes(n) + INTEGER_TOL).all())
     integer_valued = bounded and max_dev <= INTEGER_TOL
     near = bounded and not integer_valued and max_dev <= NEAR_MATROID_TOL
-    return RankReport(n, tuple(values), integer_valued, max_dev, near)
+    return RankReport(n, tuple(values.tolist()), integer_valued, max_dev, near)
 
 
 def entropy_rank_report(p: JointDistribution) -> RankReport:
@@ -94,8 +101,7 @@ def code_rank_report(code) -> RankReport:
     """Rank candidate for a code's uniform distribution without enumerating
     codewords: each marginal is uniform over the image of a linear map, so
     its base-q entropy equals the column-submatrix rank."""
-    ranks = _matrix_ranks(code.field, code.generator, code.n)
-    return _rank_report_from_values(code.n, ranks.astype(float).tolist())
+    return _rank_report_from_values(code.n, _matrix_ranks(code.field, code.generator, code.n))
 
 
 def matroid_from_ranks(r: RankReport, verify: bool = True) -> MatroidView:
@@ -103,7 +109,7 @@ def matroid_from_ranks(r: RankReport, verify: bool = True) -> MatroidView:
     if not r.integer_valued:
         raise MatroidError("not a matroid rank function: entropies are not "
                            f"integer-valued (max deviation {r.max_deviation:.3g})")
-    view = MatroidView(r.n, tuple(round(h) for h in r.ranks), "entropy")
+    view = MatroidView(r.n, tuple(np.round(r.ranks).astype(np.int64).tolist()), "entropy")
     if verify and not check_axioms(view):
         raise MatroidError("internal consistency failure: derived rank function "
                            "violates the matroid rank axioms")
@@ -139,8 +145,7 @@ def vector_matroid(field: FieldSpec, matrix) -> MatroidView:
 
 
 def uniform_matroid(k: int, n: int) -> MatroidView:
-    ranks = tuple(min(mask.bit_count(), k) for mask in range(1 << n))
-    return MatroidView(n, ranks, "uniform")
+    return MatroidView(n, tuple(np.minimum(_sizes(n), k).tolist()), "uniform")
 
 
 def is_isomorphic_uniform(m: MatroidView, k: int) -> bool:
@@ -232,10 +237,7 @@ def uniform_representable_over(k: int, n: int, field: FieldSpec) -> bool:
 
 
 def matroid_json(m: MatroidView) -> dict:
-    independents = sorted(
-        [i for i in range(m.ground_size) if mask >> i & 1]
-        for mask in m.independents
-    )
+    independents = sorted(mask_bits(mask) for mask in m.independents)
     return {
         "ground_size": m.ground_size,
         "origin": m.origin,

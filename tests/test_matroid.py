@@ -17,6 +17,8 @@ from cohesionlab.dist import JointDistribution
 from cohesionlab.errors import MatroidError, SearchBudgetExceeded
 from cohesionlab.gf import is_prime_power, make_field, matrix_rank
 from cohesionlab.matroid import (
+    INTEGER_TOL,
+    NEAR_MATROID_TOL,
     MatroidView,
     RankReport,
     check_axioms,
@@ -118,6 +120,22 @@ def _field(q):
     return make_field(*is_prime_power(q))
 
 
+def independents_by_mask(ranks):
+    """The S with r(S) = |S|, one mask at a time."""
+    return frozenset(m for m, r in enumerate(ranks) if r == m.bit_count())
+
+
+def report_by_mask(n, values):
+    """RankReport of a table by mask, each flag from its per-mask definition."""
+    max_dev, bounded = 0.0, True
+    for mask, h in enumerate(values):
+        max_dev = max(max_dev, abs(h - round(h)))
+        bounded = bounded and h <= mask.bit_count() + INTEGER_TOL
+    integer_valued = bounded and max_dev <= INTEGER_TOL
+    near = bounded and not integer_valued and max_dev <= NEAR_MATROID_TOL
+    return RankReport(n, tuple(values), integer_valued, max_dev, near)
+
+
 class TestRankReport:
     def test_rs_maximizer_ranks(self, rs_maximizer4):
         rep = entropy_rank_report(rs_maximizer4)
@@ -147,6 +165,21 @@ class TestRankReport:
         rep = entropy_rank_report(p)
         assert not rep.integer_valued
         assert rep.near_matroidal
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_flags_match_per_mask_definitions(self, n):
+        rng = np.random.default_rng(n)
+        ranks = np.array(uniform_matroid(2, n).ranks, dtype=float)
+        above = ranks.copy()
+        above[-1] += 1.0  # integer, but r(E) > |E| when n <= 2
+        flags = set()
+        noisy = [ranks - rng.uniform(0.0, eps, ranks.shape) for eps in (1e-8, 1e-4, 0.3)]
+        for values in [ranks, above, ranks + rng.uniform(-1e-4, 1e-4, ranks.shape)] + noisy:
+            values = values.tolist()
+            rep = matroid._rank_report_from_values(n, values)
+            assert rep == report_by_mask(n, values)
+            flags.add((rep.integer_valued, rep.near_matroidal))
+        assert {(True, False), (False, True), (False, False)} <= flags
 
 
 class TestMatroidFromRanks:
@@ -239,9 +272,12 @@ def small_families(draw):
 
 class TestAxioms:
     def test_uniform_passes(self):
-        for n in range(1, 8):
+        for n in range(9):
             for k in range(n + 1):
-                assert check_axioms(uniform_matroid(k, n))
+                view = uniform_matroid(k, n)
+                assert view.ranks == tuple(min(m.bit_count(), k) for m in range(1 << n))
+                assert view.independents == independents_by_mask(view.ranks)
+                assert check_axioms(view)
 
     def test_missing_empty_set_fails(self):
         # r(empty) = 1: the empty set is not independent
@@ -309,6 +345,7 @@ class TestVectorMatroid:
     def test_no_columns(self):
         assert vector_matroid(GF2, []).ranks == (0,)
         assert vector_matroid(GF2, [[]]).ranks == (0,)
+        assert vector_matroid(GF2, []).independents == frozenset({0})
 
     def test_one_subset_rank_pass_per_table(self, monkeypatch):
         # only the r-column subsets are ranked, r the rank of the matrix
@@ -338,7 +375,9 @@ class TestVectorMatroid:
                                                min_size=rows, max_size=rows)))
         matrix = [[c[i] for c in cols] for i in range(rows)]
         f = _field(q)
-        ranks = vector_matroid(f, matrix).ranks
+        view = vector_matroid(f, matrix)
+        ranks = view.ranks
+        assert view.independents == independents_by_mask(ranks)
         for mask in range(1 << len(cols)):
             sub = [[c[i] for j, c in enumerate(cols) if mask >> j & 1] for i in range(rows)]
             assert ranks[mask] == matrix_rank(f, sub), (mask, matrix)

@@ -3,6 +3,7 @@ replace, kept here as oracles: the sparse walk relabelled each child
 with np.unique and visited every subset, the dense walk took each
 marginal as one numpy axis-sum."""
 
+import math
 from math import comb
 
 import numpy as np
@@ -11,7 +12,14 @@ import pytest
 from cohesionlab import dist
 from cohesionlab.cli import run_maximizer
 from cohesionlab.codes import code_to_distribution, rs_generator
-from cohesionlab.dist import JointDistribution, _xlogx, entropy_table, from_dense
+from cohesionlab.dist import (
+    JointDistribution,
+    _xlogx,
+    entropy_table,
+    from_dense,
+    order_entropies,
+    subset_entropy,
+)
 from cohesionlab.gf import is_prime_power, make_field
 
 RS_ATOM_CAP = 1 << 15  # q^k atoms the np.unique oracle walks in well under a second
@@ -19,7 +27,8 @@ RS_ATOM_CAP = 1 << 15  # q^k atoms the np.unique oracle walks in well under a se
 
 def unique_walk(p, max_order):
     """Every subset of 1..max_order variables, each child relabelled by
-    np.unique: the oracle for dist._sparse_entropies, value and order."""
+    np.unique: the oracle for dist._sparse_entropies, value and order.
+    Its keys are labels * q + symbol, so it is valid while labels·q < 2^63."""
     outcomes = np.array(list(p.atoms), dtype=np.int64)
     masses = np.fromiter(p.atoms.values(), float, len(p.atoms))
     table = {}
@@ -61,13 +70,44 @@ def rs_distribution(q, k):
     return code_to_distribution(rs_generator(make_field(*is_prime_power(q)), k))
 
 
+def expand_stops(nodes, n, max_order):
+    """The walk's nodes as a dict by mask in depth-first order, each stop
+    S with last variable i followed by every S | T, T above i, of at most
+    max_order variables, all with the stop's H."""
+    table = {}
+
+    def fill(mask, start, h):
+        for i in range(start, n):
+            child = mask | 1 << i
+            table[child] = h
+            if child.bit_count() < max_order:
+                fill(child, i + 1, h)
+
+    for mask, i, h, stop in nodes:
+        table[mask] = h
+        if stop and mask.bit_count() < max_order:
+            fill(mask, i + 1, h)
+    return table
+
+
 def assert_walks_equal(p):
     for max_order in sorted({1, max(1, p.n // 2), p.n - 1 or 1, p.n}):
-        got = dist._sparse_entropies(p, max_order)
+        nodes = dist._sparse_entropies(p, max_order)
+        got = expand_stops(nodes, p.n, max_order)
         want = unique_walk(p, max_order)
         assert list(got) == list(want), max_order  # the same masks in the same order
         for mask, h in want.items():
             assert got[mask] == h, (max_order, mask)
+        # per-size sums in the oracle's order, which the parent's sums followed
+        sums = np.zeros(max_order + 1)
+        for mask, h in want.items():
+            sums[mask.bit_count()] += h
+        orders = range(1, max_order + 1)
+        got_sums = order_entropies(p, orders, math.e)
+        if max_order < p.n and not any(stop for *_, stop in nodes):
+            assert np.array_equal(got_sums, sums[1:]), max_order
+        else:  # a stop's H times C(n-1-i, s-|S|) against that many additions
+            assert np.all(np.abs(got_sums - sums[1:]) <= 1e-12 * sums[1:]), max_order
 
 
 RS_CASES = [(q, k) for q in (4, 5, 7, 8, 9) for k in range(1, q + 1) if q**k <= RS_ATOM_CAP]
@@ -112,6 +152,18 @@ def test_sparse_walk_equals_unique_walk_on_large_alphabets(n, q, atoms):
         outcomes = list(dict.fromkeys(outcomes + [tuple(int(x) for x in rng.integers(q, size=n))]))
     masses = rng.dirichlet(np.ones(atoms))
     assert_walks_equal(JointDistribution(n, q, dict(zip(outcomes, masses))))
+
+
+def test_sparse_walk_keys_do_not_wrap_at_huge_q():
+    # labels * q keys wrapped once labels·q reached 2^63: at q = 2^61 label
+    # 8's keys fell onto label 0's and H(X0X1) came out 2.736 nats, not ln 18
+    p = JointDistribution(2, 2**61, {(i, j): 1 / 18 for i in range(9) for j in range(2)})
+    table = entropy_table(p, base=math.e)
+    assert table[3] == pytest.approx(math.log(18), rel=1e-12)
+    for mask in range(4):
+        assert table[mask] == pytest.approx(subset_entropy(p, mask, math.e), rel=1e-12)
+    assert order_entropies(p, (1, 2), math.e) == pytest.approx(
+        [subset_entropy(p, 1, math.e) + subset_entropy(p, 2, math.e), math.log(18)], rel=1e-12)
 
 
 @pytest.mark.parametrize("q, k", [(4, 2), (5, 3), (7, 2), (8, 3), (9, 3), (9, 4)])
