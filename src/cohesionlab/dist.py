@@ -175,7 +175,10 @@ def _sparse_entropies(p: JointDistribution, max_order: int) -> list:
     one label per atom: X_S determines X, so every S | T with T above i has
     the same H, and the walk goes no further from S.
     """
-    outcomes = np.array(list(p.atoms), dtype=np.int64)
+    try:
+        outcomes = np.array(list(p.atoms), dtype=np.int64)
+    except OverflowError:  # symbols of 2^63 and more: relabel the Python ints
+        outcomes = np.array(list(p.atoms), dtype=object)
     columns = [np.unique(c, return_inverse=True) for c in outcomes.T]
     masses = np.fromiter(p.atoms.values(), float, len(p.atoms))
     nodes = []

@@ -139,8 +139,8 @@ def batch_cohesion_all(P: np.ndarray, n: int, q: int, base: float | None = None)
 
 def _divergences(cube: np.ndarray, k: int, base: float, tol: float, max_sweeps: int,
                  tally: Counter | None = None) -> np.ndarray:
-    """D(p || p^(k)) per row of a (N, q, ..., q) batch. A batch whose IPF
-    stops at residual >= tol adds 1 to tally["ipf_unconverged"]."""
+    """D(p || p^(k)) per row of a (N, q, ..., q) batch. A batch with a row
+    whose IPF stops at residual >= tol adds 1 to tally["ipf_unconverged"]."""
     proj, _, residual = ipf_project_batch(cube, k, tol, max_sweeps)
     if tally is not None and not residual < tol:
         tally["ipf_unconverged"] += 1
@@ -168,7 +168,7 @@ def make_objective(n: int, q: int, measure: str, base: float | None = None,
     values and a 1-D vector gives one float.
 
     The d-branch projects each batch with IPF capped at IPF_MAX_SWEEPS;
-    a batch still at residual >= IPF_TOL adds 1 to
+    a batch with a row still at residual >= IPF_TOL adds 1 to
     tally["ipf_unconverged"] when a tally is given.
     """
     kind, k = parse_measure(measure, n)
@@ -309,7 +309,8 @@ def emit_scatter(cfg: ScanConfig, out_dir, chunk: int = 4096) -> dict:
     Overlay files carry the bound lines: adjacent-order rays
     y = ((n-k)/k) x, the constant ceilings, and the divergence-bound
     diagonal y = x. The summary's ipf_unconverged counts the divergence
-    batches whose IPF hit DEFAULT_MAX_SWEEPS before reaching DEFAULT_TOL.
+    batches with a row whose IPF hit DEFAULT_MAX_SWEEPS before reaching
+    DEFAULT_TOL.
     """
     from pathlib import Path
 

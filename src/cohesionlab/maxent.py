@@ -3,19 +3,23 @@
 The projection p^(k) is computed by iterative proportional fitting:
 starting from the uniform table, cycle over all C(n, k) marginal
 constraints, multiplying by target/current ratios until the largest
-marginal discrepancy falls below tolerance. The divergence D(p || p^(k))
-is then compared against its Cohesion ceiling C^(k) / C(n-1, k-1).
+marginal discrepancy falls below tolerance. In a batch each row stops at
+its own first such sweep, so its result does not depend on the rows next
+to it. The divergence D(p || p^(k)) is then compared against its
+Cohesion ceiling C^(k) / C(n-1, k-1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
+from . import dist
 from .cohesion import _check_order, cohesion_k
 from .dist import JointDistribution, _base, _dense_vector, from_dense
 from .errors import DistributionError
@@ -38,37 +42,85 @@ def dense_table(p: JointDistribution) -> np.ndarray:
     return _dense_vector(p).reshape((p.q,) * p.n)
 
 
+@lru_cache(maxsize=16)
+def _ipf_plan(n: int, q: int, k: int):
+    """Gather orders for IPF on flat (N, q^n) rows, one row per k-subset A:
+    `orders[i]` lists the cells with A's marginal cell fastest, and
+    `owners[i]` maps each cell to its marginal cell. A marginal is then a
+    sum over a middle axis, which numpy adds in one fixed order whatever
+    the row count; `orders.ravel()` is all the orders concatenated."""
+    cells = np.arange(q**n).reshape((q,) * n)
+    orders = np.stack([cells.transpose([ax for ax in range(n) if ax not in A] + list(A)).ravel()
+                       for A in combinations(range(n), k)])
+    return orders, np.argsort(orders, axis=1) % q**k
+
+
+def _ratio(t: np.ndarray, cm: np.ndarray) -> np.ndarray:
+    return np.divide(t, cm, out=np.zeros_like(cm), where=cm > 0.0)
+
+
 def ipf_project_batch(
     targets: np.ndarray,
     k: int,
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ):
-    """IPF on a batch of distributions sharing one shape.
+    """IPF on a batch of distributions sharing one shape, each row stopping
+    at its first sweep with L-inf marginal residual < tol, or at max_sweeps.
 
     targets has shape (N, q, ..., q) with n trailing axes. Returns
-    (projections, sweeps, residual) where residual is the worst L-inf
-    marginal discrepancy across the whole batch at termination.
+    (projections, sweeps, residual): sweeps is the most any row took and
+    residual the worst row's residual when it stopped. A stopped row leaves
+    the working arrays, so each row's result is the one it gets alone.
+    While C(n, k) q^n <= dist.INCIDENCE_LIMIT, marginals come from a cached
+    gather plan; above it, from axis sums of the table.
     """
     targets = np.asarray(targets, dtype=float)
     n = targets.ndim - 1
     _check_order(k, n)
-    axes = [tuple(ax + 1 for ax in range(n) if ax not in A) for A in combinations(range(n), k)]
-    margs = [targets.sum(axis=c, keepdims=True) for c in axes]
-    size = float(np.prod(targets.shape[1:]))
-    cur = np.full_like(targets, 1.0 / size)
-    residual = math.inf
-    sweeps = 0
+    rows, q = targets.shape[:2]
+    cells, rest = q**k, q**(n - k)  # cells of a k-marginal; table cells summed into each
+    if comb(n, k) * q**n <= dist.INCIDENCE_LIMIT:
+        orders, owners = _ipf_plan(n, q, k)
+        every = orders.ravel()
+
+        def marginals(x):  # (rows, C(n, k), q^k)
+            return x[:, every].reshape(len(x), len(orders), rest, cells).sum(axis=2)
+
+        def sweep(cur, margs):
+            for i, (order, owner) in enumerate(zip(orders, owners)):
+                cm = cur[:, order].reshape(len(cur), rest, cells).sum(axis=1)
+                cur *= _ratio(margs[:, i], cm)[:, owner]
+    else:
+        subsets = list(combinations(range(n), k))
+        axes = [tuple(ax + 1 for ax in range(n) if ax not in A) for A in subsets]
+        shapes = [(-1,) + tuple(q if ax in A else 1 for ax in range(n)) for A in subsets]
+
+        def marginals(x):
+            cube = x.reshape((len(x),) + (q,) * n)
+            return np.stack([cube.sum(axis=c).reshape(len(x), cells) for c in axes], axis=1)
+
+        def sweep(cur, margs):
+            cube = cur.reshape((len(cur),) + (q,) * n)
+            for i, (c, shape) in enumerate(zip(axes, shapes)):
+                cube *= _ratio(margs[:, i], cube.sum(axis=c).reshape(len(cur), cells)).reshape(shape)
+
+    flat = targets.reshape(rows, q**n)
+    out = np.full(flat.shape, 1.0 / q**n)  # C order: the axis route scales views of it
+    cur, margs, live = out, marginals(flat), np.arange(rows)
+    sweeps, residual = 0, 0.0
     with np.errstate(invalid="ignore"):  # an overflowed ratio meets a zero cell: inf * 0
-        for sweeps in range(1, max_sweeps + 1):
-            for c, t in zip(axes, margs):
-                cm = cur.sum(axis=c, keepdims=True)
-                cur *= np.divide(t, cm, out=np.zeros_like(cm), where=cm > 0.0)
-            residual = max(0.0, *(float(np.abs(cur.sum(axis=c, keepdims=True) - t).max())
-                                  for c, t in zip(axes, margs)))
-            if residual < tol:
-                break
-    return cur, sweeps, residual
+        while live.size and sweeps < max_sweeps:
+            sweeps += 1
+            sweep(cur, margs)
+            gaps = np.abs(marginals(cur) - margs).max(axis=(1, 2))
+            done = (gaps < tol) | (sweeps == max_sweeps)
+            if done.any():
+                residual = float(gaps[done].max(initial=residual))  # NaN stays NaN
+                if cur is not out:
+                    out[live[done]] = cur[done]
+                live, cur, margs = live[~done], cur[~done], margs[~done]
+    return out.reshape(targets.shape), sweeps, residual
 
 
 def batch_divergence(targets: np.ndarray, others: np.ndarray, base: float) -> np.ndarray:

@@ -182,6 +182,19 @@ class TestMatroidCommand:
         assert captured.err == ("error: not a matroid rank function: entropies are not "
                                 "integer-valued (max deviation 0.025)\n")
 
+    def test_symbols_past_int64(self, tmp_path, capsys):
+        # 2^64 + 1 does not fit a C long; each marginal is 1.5 bits, as is H(X)
+        path = tmp_path / "huge.csv"
+        big = 2**64 + 1
+        path.write_text(f"# q={2**65}\nx0,x1,p\n{big},0,0.5\n0,{big},0.25\n5,5,0.25\n")
+        assert main(["cohesion", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["values"] == [pytest.approx(1.5 / 65)]
+        assert main(["matroid", "from-dist", str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: not a matroid rank function: entropies are not "
+                                "integer-valued (max deviation 0.0231)\n")
+
     def test_uniform_rep_gf2(self, capsys):
         assert main(["matroid", "uniform-rep", "--k", "2", "--n", "4",
                      "--p", "2", "--m", "1", "--json"]) == 0

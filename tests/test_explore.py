@@ -264,6 +264,7 @@ ORACLE_CASES = [
     (4, 2, "c1", None, 2.0**-12),
     (4, 2, "c3", 2.0, 2.0**-12),
     (4, 2, "d1", None, 2.0**-12),
+    (3, 2, "d2", None, 2.0**-8),  # a multi-sweep IPF per row
 ]
 
 
@@ -452,6 +453,18 @@ class TestScatterRows:
     @given(st.floats(allow_nan=True, allow_infinity=True))
     def test_percent_format_is_fstring_format(self, v):
         assert "%.12g" % v == f"{v:.12g}" == f"{np.float64(v):.12g}"
+
+    @pytest.mark.parametrize("n,q,measures", [(4, 2, ("c1", "d1", "d2")), (3, 3, ("d1", "d2"))])
+    def test_rows_do_not_depend_on_chunk(self, tmp_path, n, q, measures):
+        # each IPF row stops on its own residual, so a row's d-values are
+        # the same bytes in a batch of one and in a batch of every point (with
+        # one stopping rule per batch, 1 and 2 of these rows moved)
+        cfg = ScanConfig(n, q, mode="random", sample_count=600, seed=1, measures=measures)
+        texts = set()
+        for chunk in (1, 7, 64, 4096):
+            emit_scatter(cfg, tmp_path / str(chunk), chunk=chunk)
+            texts.add((tmp_path / str(chunk) / "scatter.csv").read_bytes())
+        assert len(texts) == 1
 
     @pytest.mark.parametrize("mode", ["random", "grid"])
     def test_batches_stay_under_table_limit(self, tmp_path, monkeypatch, mode):

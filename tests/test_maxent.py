@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohesionlab import maxent
+from cohesionlab import dist, maxent
 from cohesionlab.codes import LinearCode, code_to_distribution
 from cohesionlab.cohesion import cohesion_k, cohesion_orders
 from cohesionlab.dist import (
@@ -79,15 +79,27 @@ def sparse_batch(rng, n, q, rows=48):
     return cube / flat.sum(axis=1).reshape((rows,) + (1,) * n)
 
 
-@pytest.mark.parametrize("n, q, k", [(4, 2, 1), (4, 2, 2), (4, 2, 3), (3, 3, 1), (3, 3, 2)])
+SHAPES = [(4, 2, 1), (4, 2, 2), (4, 2, 3), (3, 3, 1), (3, 3, 2)]
+
+
+@pytest.mark.parametrize("n, q, k", SHAPES)
 @pytest.mark.parametrize("tol, max_sweeps", [(1e-4, 2000), (1e-10, 300)])
 def test_masked_division_matches_reference_bit_for_bit(n, q, k, tol, max_sweeps):
+    # each row stops on its own residual, so the oracle is the reference
+    # run on one row at a time; a marginal over one axis adds in the same
+    # order as the reference, over several in another order
     rng = np.random.default_rng(1000 * n + 10 * q + k)
     targets = sparse_batch(rng, n, q)
     proj, sweeps, residual = ipf_project_batch(targets, k, tol, max_sweeps)
-    ref, ref_sweeps, ref_residual = reference_ipf(targets, k, tol, max_sweeps)
-    assert np.array_equal(proj, ref)
-    assert (sweeps, residual) == (ref_sweeps, ref_residual)
+    refs = [reference_ipf(targets[i:i + 1], k, tol, max_sweeps) for i in range(len(targets))]
+    for row, (ref, _, _) in zip(proj, refs):
+        if n - k == 1:
+            assert np.array_equal(row, ref[0])
+        else:
+            assert np.abs(row - ref[0]).max() <= 1e-14
+    assert sweeps == max(s for _, s, _ in refs)
+    ref_residual = max(r for _, _, r in refs)
+    assert residual == ref_residual if n - k == 1 else abs(residual - ref_residual) <= 1e-14
     # the projection keeps the target's support; a second sparse batch
     # also has +inf rows, where the target has mass and the other has none
     sparse = sparse_batch(rng, n, q)
@@ -95,6 +107,40 @@ def test_masked_division_matches_reference_bit_for_bit(n, q, k, tol, max_sweeps)
     for others in (proj, sparse):
         divs = batch_divergence(targets, others, float(q))
         assert np.array_equal(divs, reference_divergence(targets, others, float(q)))
+
+
+@pytest.mark.parametrize("limit", [dist.INCIDENCE_LIMIT, 0])  # gather plan, axis sums
+@pytest.mark.parametrize("n, q, k", SHAPES)
+def test_rows_do_not_depend_on_batch_mates(monkeypatch, limit, n, q, k):
+    monkeypatch.setattr(dist, "INCIDENCE_LIMIT", limit)
+    maxent._ipf_plan.cache_clear()
+    targets = sparse_batch(np.random.default_rng(7 * n + q + k), n, q)
+    proj, sweeps, residual = ipf_project_batch(targets, k, 1e-10, 300)
+    alone = [ipf_project_batch(targets[i:i + 1], k, 1e-10, 300) for i in range(len(targets))]
+    for row, (one, _, _) in zip(proj, alone):
+        assert np.array_equal(row, one[0])
+    assert (sweeps, residual) == (max(s for _, s, _ in alone), max(r for _, _, r in alone))
+    assert maxent._ipf_plan.cache_info().currsize == (limit > 0)
+
+
+def test_no_plan_above_the_incidence_limit(monkeypatch):
+    # C(4, 2) 2^4 = 96 cells of gather plan: built at a limit of 96, not at 95
+    targets = sparse_batch(np.random.default_rng(3), 4, 2, rows=5)
+    want = ipf_project_batch(targets, 2)
+    for limit, plans in ((95, 0), (96, 1)):
+        maxent._ipf_plan.cache_clear()
+        monkeypatch.setattr(dist, "INCIDENCE_LIMIT", limit)
+        got = ipf_project_batch(targets, 2)
+        assert maxent._ipf_plan.cache_info().currsize == plans
+        assert got[1] == want[1]
+        assert np.abs(got[0] - want[0]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("limit", [dist.INCIDENCE_LIMIT, 0])
+def test_empty_batch_takes_no_sweep(monkeypatch, limit):
+    monkeypatch.setattr(dist, "INCIDENCE_LIMIT", limit)
+    proj, sweeps, residual = ipf_project_batch(np.zeros((0, 3, 3)), 1)
+    assert proj.shape == (0, 3, 3) and (sweeps, residual) == (0, 0.0)
 
 
 class TestIPF:

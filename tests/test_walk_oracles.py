@@ -166,6 +166,19 @@ def test_sparse_walk_keys_do_not_wrap_at_huge_q():
         [subset_entropy(p, 1, math.e) + subset_entropy(p, 2, math.e), math.log(18)], rel=1e-12)
 
 
+def test_sparse_walk_takes_symbols_past_int64():
+    # symbols of 2^63 and more do not fit int64; relabelled as Python ints,
+    # they give the nodes of the same atoms with small symbols
+    rng = np.random.default_rng(17)
+    cells = rng.choice(64, size=40, replace=False)
+    atoms = [tuple(int(s) for s in row) for row in np.stack(np.unravel_index(cells, (4,) * 3), 1)]
+    masses = rng.dirichlet(np.ones(40))
+    huge = JointDistribution(3, 2**80, {tuple(2**70 * s + 3 for s in o): m
+                                        for o, m in zip(atoms, masses)})
+    assert dist._sparse_entropies(huge, 3) == dist._sparse_entropies(
+        JointDistribution(3, 4, dict(zip(atoms, masses))), 3)
+
+
 @pytest.mark.parametrize("q, k", [(4, 2), (5, 3), (7, 2), (8, 3), (9, 3), (9, 4)])
 def test_sparse_walk_stops_where_x_s_determines_x(monkeypatch, q, k):
     # any k columns of an [n, k] MDS code fix the codeword, so only the
