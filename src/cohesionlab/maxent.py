@@ -73,7 +73,8 @@ def ipf_project_batch(
     residual the worst row's residual when it stopped. A stopped row leaves
     the working arrays, so each row's result is the one it gets alone.
     While C(n, k) q^n <= dist.INCIDENCE_LIMIT, marginals come from a cached
-    gather plan; above it, from axis sums of the table.
+    gather plan, a block of rows at a time so that no gather passes
+    dist.TABLE_LIMIT cells; above it, from axis sums of the table.
     """
     targets = np.asarray(targets, dtype=float)
     n = targets.ndim - 1
@@ -83,8 +84,11 @@ def ipf_project_batch(
     if comb(n, k) * q**n <= dist.INCIDENCE_LIMIT:
         orders, owners = _ipf_plan(n, q, k)
         every = orders.ravel()
+        block = max(1, dist.TABLE_LIMIT // every.size)  # rows gathered at once: a table's cells
 
         def marginals(x):  # (rows, C(n, k), q^k)
+            if len(x) > block:
+                return np.concatenate([marginals(x[r:r + block]) for r in range(0, len(x), block)])
             return x[:, every].reshape(len(x), len(orders), rest, cells).sum(axis=2)
 
         def sweep(cur, margs):

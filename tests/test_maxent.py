@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -87,19 +88,25 @@ SHAPES = [(4, 2, 1), (4, 2, 2), (4, 2, 3), (3, 3, 1), (3, 3, 2)]
 def test_masked_division_matches_reference_bit_for_bit(n, q, k, tol, max_sweeps):
     # each row stops on its own residual, so the oracle is the reference
     # run on one row at a time; a marginal over one axis adds in the same
-    # order as the reference, over several in another order
+    # order as the reference, over several in another order, and q^(n-k)
+    # terms of total at most 1 added in two orders differ by under q^(n-k)
+    # ulps of 1
     rng = np.random.default_rng(1000 * n + 10 * q + k)
     targets = sparse_batch(rng, n, q)
     proj, sweeps, residual = ipf_project_batch(targets, k, tol, max_sweeps)
     refs = [reference_ipf(targets[i:i + 1], k, tol, max_sweeps) for i in range(len(targets))]
-    for row, (ref, _, _) in zip(proj, refs):
+    alone = [ipf_project_batch(targets[i:i + 1], k, tol, max_sweeps) for i in range(len(targets))]
+    slack = 0.0 if n - k == 1 else q**(n - k) * np.finfo(float).eps
+    for row, (ref, ref_sweeps, ref_residual), (_, row_sweeps, row_residual) in zip(proj, refs, alone):
         if n - k == 1:
             assert np.array_equal(row, ref[0])
         else:
             assert np.abs(row - ref[0]).max() <= 1e-14
+        assert row_sweeps == ref_sweeps and (row_residual < tol) == (ref_residual < tol)
+        assert abs(row_residual - ref_residual) <= slack
     assert sweeps == max(s for _, s, _ in refs)
     ref_residual = max(r for _, _, r in refs)
-    assert residual == ref_residual if n - k == 1 else abs(residual - ref_residual) <= 1e-14
+    assert (residual < tol) == (ref_residual < tol) and abs(residual - ref_residual) <= slack
     # the projection keeps the target's support; a second sparse batch
     # also has +inf rows, where the target has mass and the other has none
     sparse = sparse_batch(rng, n, q)
@@ -134,6 +141,25 @@ def test_no_plan_above_the_incidence_limit(monkeypatch):
         assert maxent._ipf_plan.cache_info().currsize == plans
         assert got[1] == want[1]
         assert np.abs(got[0] - want[0]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("limit", [dist.INCIDENCE_LIMIT, 0])  # gather plan, axis sums
+def test_batch_allocates_a_few_tables_at_most(monkeypatch, limit):
+    # n6 q2 k2 over 512 rows: one gather over all 15 plan orders would be
+    # 15 tables; the working set (result, live rows, marginals, one gather
+    # and its ratios) is about 5
+    monkeypatch.setattr(dist, "INCIDENCE_LIMIT", limit)
+    targets = sparse_batch(np.random.default_rng(5), 6, 2, rows=512)
+    want = ipf_project_batch(targets, 2, 1e-10, 300)  # also builds the plan outside the trace
+    monkeypatch.setattr(dist, "TABLE_LIMIT", targets.size)
+    tracemalloc.start()
+    try:
+        got = ipf_project_batch(targets, 2, 1e-10, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * targets.nbytes
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
 
 @pytest.mark.parametrize("limit", [dist.INCIDENCE_LIMIT, 0])
