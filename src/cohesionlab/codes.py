@@ -17,9 +17,10 @@ from math import comb
 
 import numpy as np
 
+from . import gf
 from .dist import JointDistribution, _check_table
 from .errors import CodeError
-from .gf import BATCH_LABELS, FieldSpec, batch_rank, column_subset_ranks, matmul
+from .gf import FieldSpec, batch_rank, column_subset_ranks, matmul
 
 
 @dataclass(frozen=True)
@@ -73,12 +74,7 @@ def rs_generator(field: FieldSpec, k: int) -> LinearCode:
     q = field.order
     if not 1 <= k <= q:
         raise CodeError(f"message length k={k} outside 1..{q}")
-    points = [0, 1]
-    x = 1
-    for _ in range(q - 2):
-        x = field.mul(x, field.primitive)
-        points.append(x)
-    points = points[:q]
+    points = (0,) + field.exp  # 0, then alpha^0 .. alpha^(q-2)
     rows = tuple(
         tuple(field.pow(b, i) for b in points) for i in range(k)
     )
@@ -90,7 +86,7 @@ def _codeword_chunks(c: LinearCode):
     lexicographic order (first symbol slowest)."""
     total = c.q**c.k
     _check_table(total, f"codeword table: {c.q}^{c.k}", CodeError)
-    step = max(1, BATCH_LABELS // c.n)  # k <= n for a code of rank k
+    step = max(1, gf.BATCH_LABELS // c.n)  # k <= n for a code of rank k
     place = c.q ** np.arange(c.k - 1, -1, -1)
     for start in range(0, total, step):
         index = np.arange(start, min(start + step, total))

@@ -367,7 +367,7 @@ def to_csv(p: JointDistribution, path) -> None:
             writer.writerow(list(outcome) + [repr(p.atoms[outcome])])
 
 
-def from_csv(path, q: int | None = None) -> JointDistribution:
+def from_csv(path) -> JointDistribution:
     path = Path(path)
     header = None
     rows = []
@@ -406,8 +406,7 @@ def from_csv(path, q: int | None = None) -> JointDistribution:
     if header is None or not rows:
         raise DistributionError(f"{path}: no distribution rows found")
     n = len(header) - 1
-    if q is None:
-        q = meta_q if meta_q is not None else max(2, max(max(o) for o, _ in rows) + 1)
+    q = meta_q if meta_q is not None else max(2, max(max(o) for o, _ in rows) + 1)
     atoms: dict = {}
     for outcome, mass in rows:
         atoms[outcome] = atoms.get(outcome, 0.0) + mass

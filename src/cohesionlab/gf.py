@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, islice
+from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -30,17 +31,6 @@ MAX_ORDER = 1 << 16
 PRINT_LIMIT = 64
 # Most labels one step of a batched kernel holds in a working array.
 BATCH_LABELS = 1 << 18
-
-
-def is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +68,19 @@ def poly_mod(a, mod, p: int) -> tuple:
     return poly_trim(a)
 
 
+def _monic(p: int, d: int):
+    """Monic polynomials of degree d over GF(p), in base-p order of their
+    lower coefficients."""
+    for v in range(p**d):
+        yield _coeffs_from_value(v, p, d) + (1,)
+
+
 def is_irreducible(poly, p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..deg/2."""
     deg = len(poly) - 1
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for v in range(p**d):
-            div = _coeffs_from_value(v, p, d) + (1,)
-            if not poly_mod(poly, div, p):
-                return False
-    return True
+    return deg >= 1 and all(
+        poly_mod(poly, div, p) for d in range(1, deg // 2 + 1) for div in _monic(p, d)
+    )
 
 
 def _coeffs_from_value(value: int, p: int, length: int) -> tuple:
@@ -103,12 +93,9 @@ def _coeffs_from_value(value: int, p: int, length: int) -> tuple:
 
 def smallest_irreducible(p: int, m: int) -> tuple:
     """Lexicographically smallest monic irreducible of degree m over GF(p),
-    ordering candidates by the base-p value of their lower coefficients."""
-    for v in range(p**m):
-        cand = _coeffs_from_value(v, p, m) + (1,)
-        if is_irreducible(cand, p):
-            return cand
-    raise FieldError(f"no irreducible polynomial of degree {m} over GF({p})")
+    ordering candidates by the base-p value of their lower coefficients.
+    One exists for every m >= 1 (Lidl & Niederreiter, Finite Fields, ch. 3)."""
+    return next(c for c in _monic(p, m) if is_irreducible(c, p))
 
 
 def _coeffs_to_label(coeffs, p: int) -> int:
@@ -205,7 +192,7 @@ def make_field(p: int, m: int, modulus=None) -> FieldSpec:
     irreducible of degree m; an explicit override is validated the same
     way. Order is capped at 2^16.
     """
-    if not is_prime(p):
+    if is_prime_power(p) != (p, 1):
         raise FieldError(f"{p} is not prime")
     if m < 1:
         raise FieldError("extension degree must be >= 1")
@@ -221,21 +208,17 @@ def make_field(p: int, m: int, modulus=None) -> FieldSpec:
         if not is_irreducible(modulus, p):
             raise FieldError(f"modulus {modulus} is reducible over GF({p})")
 
-    # Smallest-labeled element whose powers reach every nonzero element.
-    primitive = None
-    powers = None
-    for a in range(1, q):
-        seen = [1]
-        x = a
+    # Smallest-labeled element whose powers reach every nonzero element. The
+    # multiplicative group of GF(q) is cyclic (Lidl & Niederreiter, ch. 2),
+    # so one exists and the loop always ends on its break.
+    for primitive in range(1, q):
+        powers = [1]
+        x = primitive
         while x != 1:
-            seen.append(x)
-            x = _raw_mul(x, a, p, m, modulus)
-        if len(seen) == q - 1:
-            primitive = a
-            powers = seen
+            powers.append(x)
+            x = _raw_mul(x, primitive, p, m, modulus)
+        if len(powers) == q - 1:
             break
-    if primitive is None:
-        raise FieldError(f"no primitive element found for GF({q})")
 
     log = [0] * q
     for i, lab in enumerate(powers):
@@ -440,15 +423,9 @@ def is_prime_power(x: int):
     """Return (p, m) when x = p^m for a prime p, else None."""
     if x < 2:
         return None
-    for p in range(2, x + 1):
-        if p * p > x and x > p:
-            break
-        if x % p:
-            continue
-        m = 0
-        y = x
-        while y % p == 0:
-            y //= p
-            m += 1
-        return (p, m) if y == 1 else None
-    return (x, 1) if is_prime(x) else None
+    p = next((d for d in range(2, isqrt(x) + 1) if x % d == 0), x)
+    m = 0
+    while x % p == 0:
+        x //= p
+        m += 1
+    return (p, m) if x == 1 else None

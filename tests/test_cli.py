@@ -416,3 +416,73 @@ class TestParser:
                 main(argv)
             assert exc.value.code == code
         assert main(["maximizer", "4", "2", "--json"]) == 0
+
+
+# argv, with FILE standing for a file named d.csv or d.json (by the file's
+# first character) that holds the given text, and OUT for an unwritten
+# directory; then the one error line
+REFUSALS = {
+    "search_without_objective": (
+        ["scan", "--n", "2", "--q", "2", "--mode", "search", "--measures", ","], None,
+        "search mode needs --objective"),
+    "zero_samples": (
+        ["scan", "--n", "2", "--q", "2", "--samples", "0", "--out", "OUT"], None,
+        "sample count must be >= 1"),
+    "zero_resolution": (
+        ["scan", "--n", "2", "--q", "2", "--mode", "grid", "--resolution", "0",
+         "--out", "OUT"], None,
+        "resolution must be >= 1"),
+    "one_variable_cohesion": (
+        ["cohesion", "FILE"], "x0,p\n0,0.5\n1,0.5\n",
+        "cohesion profile needs at least two variables"),
+    "header_without_p": (
+        ["cohesion", "FILE"], "x0,x1,q\n0,0,1.0\n",
+        "FILE:1: header must be x0,...,x{n-1},p"),
+    "short_row": (
+        ["cohesion", "FILE"], "x0,x1,p\n0,0.5\n",
+        "FILE:2: expected 3 cells, got 2"),
+    "header_only": (
+        ["cohesion", "FILE"], "x0,x1,p\n",
+        "FILE: no distribution rows found"),
+    "json_without_variables": (
+        ["cohesion", "FILE"], '{"n": 0, "q": 2, "atoms": []}',
+        "FILE: malformed JSON distribution: need at least one variable"),
+    "extension_degree_zero": (
+        ["field", "show", "2", "0"], None,
+        "extension degree must be >= 1"),
+    "uniform_rep_k_zero": (
+        ["matroid", "uniform-rep", "--k", "0", "--n", "3", "--p", "2", "--m", "1"], None,
+        "k and n must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusal_is_one_error_line(tmp_path, capsys, name):
+    argv, content, message = REFUSALS[name]
+    path = tmp_path / ("d.json" if content and content[0] == "{" else "d.csv")
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "out"
+
+    def fill(s):
+        return s.replace("FILE", str(path)).replace("OUT", str(out))
+
+    assert main([fill(a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {fill(message)}\n"
+    assert not out.exists()
+
+
+def test_blank_line_between_rows_is_skipped(tmp_path, capsys):
+    path = tmp_path / "blank.csv"
+    path.write_text("x0,x1,p\n0,0,0.5\n\n1,1,0.5\n")
+    assert main(["cohesion", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["values"] == pytest.approx([1.0], abs=1e-12)
+
+
+def test_modulus_skips_zero_coefficients(capsys):
+    # GF(8)'s modulus z^3+z+1 has no z^2 term
+    assert main(["field", "show", "2", "3"]) == 0
+    assert capsys.readouterr().out.startswith("GF(8)  p=2 m=3  modulus z^3+z+1\n")

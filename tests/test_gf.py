@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cohesionlab.errors import FieldError
@@ -179,3 +181,34 @@ def test_is_prime_power():
     assert is_prime_power(6) is None
     assert is_prime_power(12) is None
     assert is_prime_power(1) is None
+
+
+# sha256 over repr((q, modulus, primitive, exp)) for every prime power
+# q <= 1024, ascending: a rewrite of the modulus or primitive-element search
+# must build the same fields
+FIELDS_TO_1024_SHA256 = "4d4dac04f031a1b4951e4d575df2439f610303ce9533e3157e21c7634f21b6c6"
+
+
+def test_construction_is_pinned_up_to_order_1024():
+    limit = 10**4
+    sieve = [True] * (limit + 1)
+    sieve[:2] = [False, False]
+    for d in range(2, int(limit**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    powers = {}
+    for p in (x for x in range(limit + 1) if sieve[x]):
+        m, x = 1, p
+        while x <= limit:
+            powers[x] = (p, m)
+            m, x = m + 1, x * p
+    for x in range(-3, limit + 1):
+        assert is_prime_power(x) == powers.get(x), x
+
+    digest = hashlib.sha256()
+    orders = sorted(q for q in powers if q <= 1024)
+    assert len(orders) == 198
+    for q in orders:
+        f = make_field(*powers[q])
+        digest.update(repr((q, f.modulus, f.primitive, f.exp)).encode())
+    assert digest.hexdigest() == FIELDS_TO_1024_SHA256

@@ -36,11 +36,11 @@ seeds = st.integers(0, 2**32 - 1)
 @contextmanager
 def batch_labels(value):
     saved = gf.BATCH_LABELS
-    gf.BATCH_LABELS = codes.BATCH_LABELS = value
+    gf.BATCH_LABELS = value
     try:
         yield
     finally:
-        gf.BATCH_LABELS = codes.BATCH_LABELS = saved
+        gf.BATCH_LABELS = saved
 
 
 def scalar_product(f, a, b):
