@@ -74,10 +74,10 @@ def rs_generator(field: FieldSpec, k: int) -> LinearCode:
     q = field.order
     if not 1 <= k <= q:
         raise CodeError(f"message length k={k} outside 1..{q}")
-    points = (0,) + field.exp  # 0, then alpha^0 .. alpha^(q-2)
-    rows = tuple(
-        tuple(field.pow(b, i) for b in points) for i in range(k)
-    )
+    # points 0, then alpha^0 .. alpha^(q-2): row i is 0^i (0^0 = 1), then
+    # (alpha^j)^i = alpha^(i j mod (q-1)), one gather from the exp table
+    exp, j = field._tables.exp, np.arange(q - 1)
+    rows = tuple((int(i == 0),) + tuple(exp[i * j % (q - 1)].tolist()) for i in range(k))
     return LinearCode(field, k, q, rows)
 
 

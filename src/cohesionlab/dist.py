@@ -13,7 +13,6 @@ and `entropy` are the simple reference path.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import operator
@@ -358,60 +357,43 @@ def from_dense(vec, n: int, q: int) -> JointDistribution:
 # ---------------------------------------------------------------------------
 
 def to_csv(p: JointDistribution, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write(f"# q={p.q}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(p.n)] + ["p"])
-        for outcome in sorted(p.atoms):
-            writer.writerow(list(outcome) + [repr(p.atoms[outcome])])
+    with Path(path).open("w", newline="") as fh:  # LF on every platform
+        fh.write(f"# q={p.q}\n" + "".join(f"x{i}," for i in range(p.n)) + "p\n")
+        fh.writelines(",".join(map(str, o)) + f",{p.atoms[o]!r}\n" for o in sorted(p.atoms))
 
 
 def from_csv(path) -> JointDistribution:
+    """Rows add up by outcome in file order; q is the last `# q=N`, else
+    the largest symbol plus one, and at least 2."""
     path = Path(path)
-    header = None
-    rows = []
-    meta_q = None
+    header, meta_q, atoms = None, None, {}
     with path.open(errors="replace") as fh:  # a bad byte fails its cell's parse
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("q="):
-                    try:
-                        meta_q = int(body[2:])
-                    except ValueError as exc:
-                        raise DistributionError(f"{path}:{lineno}: {exc}") from exc
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            if header is None:
-                header = cells
-                if len(header) < 2 or header[-1] != "p":
-                    raise DistributionError(
-                        f"{path}:{lineno}: header must be x0,...,x{{n-1}},p"
-                    )
-                continue
-            if len(cells) != len(header):
-                raise DistributionError(
-                    f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}"
-                )
             try:
-                outcome = tuple(int(c) for c in cells[:-1])
-                mass = float(cells[-1])
+                if line[0] == "#":
+                    if (body := line[1:].strip()).startswith("q="):
+                        meta_q = int(body[2:])
+                    continue
+                cells = [c.strip() for c in line.split(",")]
+                if header is None:
+                    if len(cells) < 2 or cells[-1] != "p":
+                        raise ValueError("header must be x0,...,x{n-1},p")
+                    header = cells
+                    continue
+                if len(cells) != len(header):
+                    raise ValueError(f"expected {len(header)} cells, got {len(cells)}")
+                outcome = tuple(map(int, cells[:-1]))
+                atoms[outcome] = atoms.get(outcome, 0.0) + float(cells[-1])
             except ValueError as exc:
                 raise DistributionError(f"{path}:{lineno}: {exc}") from exc
-            rows.append((outcome, mass))
-    if header is None or not rows:
+    if not atoms:
         raise DistributionError(f"{path}: no distribution rows found")
-    n = len(header) - 1
-    q = meta_q if meta_q is not None else max(2, max(max(o) for o, _ in rows) + 1)
-    atoms: dict = {}
-    for outcome, mass in rows:
-        atoms[outcome] = atoms.get(outcome, 0.0) + mass
+    q = meta_q if meta_q is not None else max(2, max(map(max, atoms)) + 1)
     try:
-        return JointDistribution(n, q, atoms)
+        return JointDistribution(len(header) - 1, q, atoms)
     except DistributionError as exc:
         raise DistributionError(f"{path}: {exc}") from exc
 
@@ -431,7 +413,10 @@ def to_json(p: JointDistribution, path) -> None:
 def from_json(path) -> JointDistribution:
     try:
         data = json.loads(Path(path).read_text())
-        atoms = {tuple(a["x"]): float(a["p"]) for a in data["atoms"]}
+        atoms: dict = {}
+        for a in data["atoms"]:  # repeated outcomes add up in file order, as in CSV
+            x = tuple(a["x"])
+            atoms[x] = atoms.get(x, 0.0) + float(a["p"])
         for field in ("n", "q"):  # as operator.index on JSON values: 1.9, 2.0 and "2" fail
             if not isinstance(data[field], int):
                 raise DistributionError(f"field {field!r} = {data[field]!r} is not an integer")

@@ -66,7 +66,8 @@ def ipf_project_batch(
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ):
     """IPF on a batch of distributions sharing one shape, each row stopping
-    at its first sweep with L-inf marginal residual < tol, or at max_sweeps.
+    at its first sweep with L-inf marginal residual < tol, or at max_sweeps
+    (at least 1).
 
     targets has shape (N, q, ..., q) with n trailing axes. Returns
     (projections, sweeps, residual): sweeps is the most any row took and
@@ -76,6 +77,8 @@ def ipf_project_batch(
     gather plan, a block of rows at a time so that no gather passes
     dist.TABLE_LIMIT cells; above it, from axis sums of the table.
     """
+    if max_sweeps < 1:  # no sweep leaves residual 0.0, which reads as converged
+        raise DistributionError(f"IPF needs max_sweeps >= 1, got {max_sweeps}")
     targets = np.asarray(targets, dtype=float)
     n = targets.ndim - 1
     _check_order(k, n)

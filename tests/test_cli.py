@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import cohesionlab
 from cohesionlab import cli, codes, dist, explore
 from cohesionlab.cli import main, run_maximizer
 from cohesionlab.dist import from_csv, to_csv
@@ -395,6 +400,14 @@ def test_version(capsys):
     assert exc.value.code == 0
 
 
+def test_version_as_a_module():
+    # the `if __name__ == "__main__"` entry of cli.py, in a fresh interpreter
+    env = {**os.environ, "PYTHONPATH": str(Path(cohesionlab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "cohesionlab.cli", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{cohesionlab.__version__}\n", "")
+
+
 class TestParser:
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()
@@ -444,6 +457,11 @@ REFUSALS = {
     "header_only": (
         ["cohesion", "FILE"], "x0,x1,p\n",
         "FILE: no distribution rows found"),
+    "json_repeated_outcomes_past_one": (
+        ["cohesion", "FILE"],
+        '{"n": 2, "q": 2, "atoms": [{"x": [0, 0], "p": 0.5}, {"x": [0, 0], "p": 0.5}, '
+        '{"x": [1, 1], "p": 0.5}]}',
+        "FILE: malformed JSON distribution: masses sum to 1.5, not 1 within 1e-12"),
     "json_without_variables": (
         ["cohesion", "FILE"], '{"n": 0, "q": 2, "atoms": []}',
         "FILE: malformed JSON distribution: need at least one variable"),

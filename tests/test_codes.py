@@ -52,6 +52,24 @@ class TestGenerator:
         with pytest.raises(CodeError, match="dependent"):
             LinearCode.from_rows(GF2, [(1, 0, 1), (1, 0, 1)])
 
+    @pytest.mark.parametrize("k, n, rows", [(2, 3, ((1, 0, 1),)), (1, 2, ((1, 0, 1),))])
+    def test_shape_mismatch_rejected(self, k, n, rows):
+        with pytest.raises(CodeError, match="^generator shape does not match \\(k, n\\)$"):
+            LinearCode(GF2, k, n, rows)
+
+    def test_rows_are_powers_of_the_points(self):
+        # row i is b^i over the points b = 0, alpha^0 .. alpha^(q-2), as
+        # FieldSpec.pow gives them, for every prime power q <= 256
+        cases = 0
+        for q in filter(is_prime_power, range(2, 257)):
+            f = make_field(*is_prime_power(q))
+            points = (0,) + f.exp
+            for k in sorted({1, 2, 3, q // 2, q} & set(range(1, q + 1))):
+                want = tuple(tuple(f.pow(b, i) for b in points) for i in range(k))
+                assert rs_generator(f, k).generator == want, (q, k)
+                cases += 1
+        assert cases == 342
+
 
 class TestEnumeration:
     def test_gf4_matches_reference_rows(self):

@@ -19,6 +19,7 @@ from cohesionlab.dist import (
     from_json,
     indices_to_mask,
     kl_divergence,
+    load,
     marginalize,
     product_of_marginals,
     subset_entropy,
@@ -272,6 +273,147 @@ class TestIO:
         big = JointDistribution(9, 8, {(0,) * 9: 1.0})
         with pytest.raises(DistributionError, match="dense"):
             to_dense(big)
+
+
+# CSV bodies with what from_csv gives for each: (n, q, atom items in file
+# order) if it loads, else the exact DistributionError text, FILE standing
+# for the path. Empty, blank, comment-only and header-only files, bad
+# headers and rows, `# q=` anywhere, repeated rows, bad masses, CRLF, a
+# 0xFF byte and a symbol of 2^64.
+CSV_CORPUS = [
+    ("empty", b"",
+     "FILE: no distribution rows found"),
+    ("blank", b"\n  \n\t\n",
+     "FILE: no distribution rows found"),
+    ("comment_only", b"# hello\n# q=3\n",
+     "FILE: no distribution rows found"),
+    ("header_only", b"# q=3\nx0,x1,p\n",
+     "FILE: no distribution rows found"),
+    ("bad_header", b"x0,x1,q\n0,0,1.0\n",
+     "FILE:1: header must be x0,...,x{n-1},p"),
+    ("short_header", b"p\n0,1.0\n",
+     "FILE:1: header must be x0,...,x{n-1},p"),
+    ("duplicated_header", b"x0,x1,p\nx0,x1,p\n0,0,1.0\n",
+     "FILE:2: invalid literal for int() with base 10: 'x0'"),
+    ("short_row", b"x0,x1,p\n0,0.5\n",
+     "FILE:2: expected 3 cells, got 2"),
+    ("long_row", b"x0,x1,p\n0,0,0,0.5\n",
+     "FILE:2: expected 3 cells, got 4"),
+    ("empty_cell", b"x0,x1,p\n0,,1.0\n",
+     "FILE:2: invalid literal for int() with base 10: ''"),
+    ("bad_int", b"x0,x1,p\n0,0,0.5\n0,nope,0.5\n",
+     "FILE:3: invalid literal for int() with base 10: 'nope'"),
+    ("bad_float", b"x0,x1,p\n0,0,half\n",
+     "FILE:2: could not convert string to float: 'half'"),
+    ("float_symbol", b"x0,x1,p\n1.0,0,1.0\n",
+     "FILE:2: invalid literal for int() with base 10: '1.0'"),
+    ("plus_symbol", b"x0,x1,p\n+1,0,1.0\n",
+     (2, 2, [((1, 0), 1.0)])),
+    ("padded_cells", b" x0 , x1 , p \n 1 , 0 , 1.0 \n",
+     (2, 2, [((1, 0), 1.0)])),
+    ("q_not_int", b"# q=x\nx0,x1,p\n0,0,1.0\n",
+     "FILE:1: invalid literal for int() with base 10: 'x'"),
+    ("q_one", b"# q=1\nx0,x1,p\n0,0,1.0\n",
+     "FILE: alphabet size must be >= 2"),
+    ("q_five", b"# q=5\nx0,x1,p\n0,0,0.5\n1,1,0.5\n",
+     (2, 5, [((0, 0), 0.5), ((1, 1), 0.5)])),
+    ("q_after_rows", b"x0,x1,p\n0,0,0.5\n1,1,0.5\n#q=4\n",
+     (2, 4, [((0, 0), 0.5), ((1, 1), 0.5)])),
+    ("q_twice", b"# q=3\n# q=6\nx0,x1,p\n0,0,1.0\n",
+     (2, 6, [((0, 0), 1.0)])),
+    ("negative_symbol", b"x0,x1,p\n-1,0,1.0\n",
+     "FILE: symbol -1 in outcome (-1, 0) outside 0..1"),
+    ("symbol_past_q", b"# q=2\nx0,x1,p\n0,2,1.0\n",
+     "FILE: symbol 2 in outcome (0, 2) outside 0..1"),
+    ("repeated_rows", b"x0,x1,p\n0,0,0.25\n1,1,0.5\n0,0,0.25\n",
+     (2, 2, [((0, 0), 0.5), ((1, 1), 0.5)])),
+    ("repeated_rows_over_one", b"x0,x1,p\n0,0,0.5\n0,0,0.5\n1,1,0.5\n",
+     "FILE: masses sum to 1.5, not 1 within 1e-12"),
+    ("nan_mass", b"x0,x1,p\n0,0,nan\n1,1,1.0\n",
+     "FILE: mass nan at (0, 0) is negative, above 1 or NaN"),
+    ("inf_mass", b"x0,x1,p\n0,0,inf\n",
+     "FILE: mass inf at (0, 0) is negative, above 1 or NaN"),
+    ("negative_mass", b"x0,x1,p\n0,0,-0.5\n1,1,1.5\n",
+     "FILE: mass -0.5 at (0, 0) is negative, above 1 or NaN"),
+    ("sum_short", b"x0,x1,p\n0,0,0.5\n1,1,0.25\n",
+     "FILE: masses sum to 0.75, not 1 within 1e-12"),
+    ("zero_mass_row", b"x0,x1,p\n0,0,0.0\n1,1,1.0\n",
+     (2, 2, [((1, 1), 1.0)])),
+    ("crlf", b"# q=3\r\nx0,x1,p\r\n0,0,0.5\r\n2,1,0.5\r\n",
+     (2, 3, [((0, 0), 0.5), ((2, 1), 0.5)])),
+    ("ff_byte", b"x0,x1,p\n0,\xff,1.0\n",
+     "FILE:2: invalid literal for int() with base 10: '\ufffd'"),
+    ("symbol_2_64", b"x0,p\n18446744073709551616,0.5\n0,0.5\n",
+     (1, 18446744073709551617, [((18446744073709551616,), 0.5), ((0,), 0.5)])),
+    ("atom_order", b"x0,x1,p\n1,1,0.5\n0,1,0.25\n0,0,0.25\n",
+     (2, 2, [((1, 1), 0.5), ((0, 1), 0.25), ((0, 0), 0.25)])),
+    ("inferred_q", b"x0,p\n0,0.5\n4,0.5\n",
+     (1, 5, [((0,), 0.5), ((4,), 0.5)])),
+    ("inferred_q_two", b"x0,x1,p\n0,0,1.0\n",
+     (2, 2, [((0, 0), 1.0)])),
+    ("blank_and_comment_between_rows", b"x0,x1,p\n0,0,0.5\n\n# note\n1,1,0.5\n",
+     (2, 2, [((0, 0), 0.5), ((1, 1), 0.5)])),
+    ("any_header_names", b"a,b,p\n0,1,1.0\n",
+     (2, 2, [((0, 1), 1.0)])),
+    ("repeated_sum_order", b"x0,p\n0,0.1\n1,0.7\n0,0.2\n",
+     (1, 2, [((0,), 0.30000000000000004), ((1,), 0.7)])),
+]
+
+
+@pytest.mark.parametrize("body, expected", [pytest.param(b, e, id=i) for i, b, e in CSV_CORPUS])
+def test_csv_reader_corpus(tmp_path, body, expected):
+    path = tmp_path / "d.csv"
+    path.write_bytes(body)
+    if isinstance(expected, str):
+        with pytest.raises(DistributionError) as info:
+            from_csv(path)
+        assert type(info.value) is DistributionError
+        assert str(info.value) == expected.replace("FILE", str(path))
+    else:
+        p = from_csv(path)
+        assert (p.n, p.q, list(p.atoms.items())) == expected
+
+
+@pytest.mark.parametrize("rows, expected", [
+    pytest.param([((0, 0), 0.25), ((0, 0), 0.25), ((1, 1), 0.5)],
+                 [((0, 0), 0.5), ((1, 1), 0.5)], id="sum_to_one"),
+    pytest.param([((0, 0), 0.5), ((0, 0), 0.5), ((1, 1), 0.5)],
+                 "masses sum to 1.5, not 1 within 1e-12", id="sum_past_one"),
+    pytest.param([((1, 1), 0.1), ((0, 0), 0.7), ((1, 1), 0.2)],
+                 [((1, 1), 0.30000000000000004), ((0, 0), 0.7)], id="file_order"),
+])
+def test_repeated_outcomes_add_up_in_csv_and_json(tmp_path, rows, expected):
+    csv_path, json_path = tmp_path / "d.csv", tmp_path / "d.json"
+    csv_path.write_text("x0,x1,p\n" + "".join(f"{a},{b},{m!r}\n" for (a, b), m in rows))
+    json_path.write_text(json.dumps({"n": 2, "q": 2, "atoms": [{"x": x, "p": m} for x, m in rows]}))
+    if isinstance(expected, str):
+        for path, prefix in ((csv_path, f"{csv_path}: "),
+                             (json_path, f"{json_path}: malformed JSON distribution: ")):
+            with pytest.raises(DistributionError) as info:
+                load(path)
+            assert str(info.value) == prefix + expected
+    else:
+        for path in (csv_path, json_path):
+            assert list(load(path).atoms.items()) == expected
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: JointDistribution.normalized(2, 2, {(0, 0): 0.0, (1, 1): -0.5}),
+                 "cannot normalize: total weight is not positive", id="normalized_nonpositive"),
+    pytest.param(lambda: marginalize(JointDistribution.uniform(2, 2), 0b100),
+                 "mask 0b100 does not fit in 2 bits", id="marginalize_wide_mask"),
+    pytest.param(lambda: from_dense([0.5, 0.5], 2, 2),
+                 "dense vector length 2 != 2^2", id="from_dense_wrong_length"),
+])
+def test_refusal_messages(call, message):
+    with pytest.raises(DistributionError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_product_of_marginals_skips_a_zero_mass_symbol():
+    # x0 is never 1, so every outcome starting with 1 stops at its first factor
+    p = JointDistribution(2, 2, {(0, 0): 0.25, (0, 1): 0.75})
+    assert product_of_marginals(p).atoms == {(0, 0): 0.25, (0, 1): 0.75}
 
 
 def test_mask_helpers():

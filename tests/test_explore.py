@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,11 +9,19 @@ from hypothesis import strategies as st
 
 from cohesionlab import dist, explore
 from cohesionlab.cohesion import cohesion_k, cohesion_orders, constant_bound
-from cohesionlab.dist import JointDistribution, to_dense
+from cohesionlab.dist import (
+    JointDistribution,
+    from_dense,
+    indices_to_mask,
+    order_entropies,
+    subset_entropy,
+    to_dense,
+)
 from cohesionlab.errors import ScanError
 from cohesionlab.explore import (
     ScanConfig,
     batch_cohesion_all,
+    batch_subset_entropies,
     compositions,
     emit_scatter,
     grid_count,
@@ -144,6 +153,18 @@ class TestBatchMeasures:
         assert allk.shape == (25, 3)
         for k in (1, 2, 3):
             assert np.allclose(allk[:, k - 1], make_objective(n, q, f"c{k}")(P))
+
+    @pytest.mark.parametrize("n, q", [(3, 2), (3, 3)])
+    def test_batch_subset_entropies_match_order_entropies(self, n, q):
+        rng = np.random.default_rng(59 + q)
+        P = sample_matrix(rng, 12, q**n)
+        cube = P.reshape((12,) + (q,) * n)
+        for k in range(1, n + 1):
+            got = batch_subset_entropies(P, n, q, k, 2.0)
+            assert np.array_equal(got, order_entropies(cube, (k,), 2.0)[:, 0])
+            p = from_dense(P[0].tolist(), n, q)
+            want = sum(subset_entropy(p, indices_to_mask(s), 2.0) for s in combinations(range(n), k))
+            assert got[0] == pytest.approx(want, abs=1e-9)
 
     def test_batch_divergence_measure(self):
         rng = np.random.default_rng(71)

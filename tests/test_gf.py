@@ -1,10 +1,12 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from cohesionlab.errors import FieldError
 from cohesionlab.gf import (
     add_table,
+    batch_rank,
     emit_tables,
     field_json,
     is_irreducible,
@@ -12,6 +14,7 @@ from cohesionlab.gf import (
     make_field,
     matrix_rank,
     mul_table,
+    poly_mul,
     primitive_element,
     smallest_irreducible,
 )
@@ -46,6 +49,16 @@ class TestConstruction:
     def test_modulus_override_validated(self):
         with pytest.raises(FieldError, match="reducible"):
             make_field(2, 2, modulus=(0, 0, 1))  # z^2 is reducible
+
+    @pytest.mark.parametrize("modulus", [(1, 0, 2), (1, 0, 0, 1), (1, 1)],
+                             ids=["not_monic", "degree_3", "degree_1"])
+    def test_modulus_override_must_be_monic_of_degree_m(self, modulus):
+        with pytest.raises(FieldError, match="^modulus must be monic of degree 2$"):
+            make_field(3, 2, modulus=modulus)
+
+    @pytest.mark.parametrize("a, b", [((), (1, 1)), ((1, 2), ())])
+    def test_product_with_an_empty_polynomial_is_empty(self, a, b):
+        assert poly_mul(a, b, 3) == ()
 
 
 class TestArithmetic:
@@ -172,6 +185,14 @@ class TestLinearAlgebra:
         # second row = z * first row, since z*1 = z and z*z = z+1
         assert matrix_rank(f, [[1, 2], [2, 3]]) == 1
         assert matrix_rank(f, [[1, 3], [2, f.mul(2, 3)]]) == 1
+
+    @pytest.mark.parametrize("rank, expected", [
+        pytest.param(lambda f: matrix_rank(f, []), 0, id="matrix_rank_no_rows"),
+        pytest.param(lambda f: batch_rank(f, np.zeros((0, 2, 3), dtype=np.int64)).tolist(), [],
+                     id="batch_rank_empty_batch"),
+    ])
+    def test_empty_input(self, rank, expected):
+        assert rank(make_field(2, 2)) == expected
 
 
 def test_is_prime_power():

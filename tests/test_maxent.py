@@ -169,6 +169,18 @@ def test_empty_batch_takes_no_sweep(monkeypatch, limit):
     assert proj.shape == (0, 3, 3) and (sweeps, residual) == (0, 0.0)
 
 
+@pytest.mark.parametrize("limit", [dist.INCIDENCE_LIMIT, 0], ids=["plan", "axes"])
+@pytest.mark.parametrize("rows", [1, 0], ids=["one_row", "empty"])
+@pytest.mark.parametrize("max_sweeps", [0, -5])
+def test_kernel_refuses_a_budget_that_never_sweeps(monkeypatch, limit, rows, max_sweeps):
+    # no sweep would return the uniform table with residual 0.0, < any tol
+    monkeypatch.setattr(dist, "INCIDENCE_LIMIT", limit)
+    targets = np.full((rows, 2, 2, 2), 1 / 8)
+    message = f"IPF needs max_sweeps >= 1, got {max_sweeps}"
+    with pytest.raises(DistributionError, match=f"^{message}$"):
+        ipf_project_batch(targets, 2, max_sweeps=max_sweeps)
+
+
 class TestIPF:
     def test_preserves_target_marginals(self):
         rng = np.random.default_rng(31)
