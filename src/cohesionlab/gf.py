@@ -363,6 +363,8 @@ def _rank_logs(t: _LogTables, a: np.ndarray) -> np.ndarray:
     rank = np.zeros(a.shape[0], dtype=np.int64)
     batch = np.arange(a.shape[0])
     for col in range(a.shape[2]):
+        if (rank == a.shape[1]).all():  # every row has pivoted and is zero: no rank left
+            break
         head = a[:, :, col]
         nonzero = head >= 0
         has = nonzero.any(axis=1)

@@ -44,19 +44,24 @@ def dense_table(p: JointDistribution) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _ipf_plan(n: int, q: int, k: int):
-    """Gather orders for IPF on flat (N, q^n) rows, one row per k-subset A:
-    `orders[i]` lists the cells with A's marginal cell fastest, and
-    `owners[i]` maps each cell to its marginal cell. A marginal is then a
-    sum over a middle axis, which numpy adds in one fixed order whatever
-    the row count; `orders.ravel()` is all the orders concatenated."""
+    """Gathers for IPF on cell-major rows: x has shape (q^n, rows) and holds
+    its cells in the layout of the k-subset it last scaled. Layout i lists
+    the cells with subset i's marginal cell fastest, so a marginal is a sum
+    over the leading axis of x.reshape(q^(n-k), q^k, rows), which numpy adds
+    in one fixed order whatever the row count. `steps[i]` moves x from
+    layout i - 1 (the last one, for i = 0) to layout i; `gather` reads every
+    layout, concatenated, out of the last one; `back[c]` is cell c's place
+    in the last layout."""
     cells = np.arange(q**n).reshape((q,) * n)
     orders = np.stack([cells.transpose([ax for ax in range(n) if ax not in A] + list(A)).ravel()
                        for A in combinations(range(n), k)])
-    return orders, np.argsort(orders, axis=1) % q**k
+    pos = np.argsort(orders, axis=1)
+    steps = pos[np.arange(-1, len(orders) - 1)[:, None], orders]
+    return steps, pos[-1][orders.ravel()], pos[-1]
 
 
 def _ratio(t: np.ndarray, cm: np.ndarray) -> np.ndarray:
-    return np.divide(t, cm, out=np.zeros_like(cm), where=cm > 0.0)
+    return np.divide(t, cm, out=np.zeros(cm.shape), where=cm > 0.0)
 
 
 def ipf_project_batch(
@@ -73,9 +78,11 @@ def ipf_project_batch(
     (projections, sweeps, residual): sweeps is the most any row took and
     residual the worst row's residual when it stopped. A stopped row leaves
     the working arrays, so each row's result is the one it gets alone.
-    While C(n, k) q^n <= dist.INCIDENCE_LIMIT, marginals come from a cached
-    gather plan, a block of rows at a time so that no gather passes
-    dist.TABLE_LIMIT cells; above it, from axis sums of the table.
+    While C(n, k) q^n <= dist.INCIDENCE_LIMIT, the rows are kept cell-major
+    and each subset step is one row gather from a cached plan (_ipf_plan);
+    the residual gathers a block of rows at a time so that no gather passes
+    dist.TABLE_LIMIT cells. Above it, marginals come from axis sums of the
+    table.
     """
     if max_sweeps < 1:  # no sweep leaves residual 0.0, which reads as converged
         raise DistributionError(f"IPF needs max_sweeps >= 1, got {max_sweeps}")
@@ -84,26 +91,40 @@ def ipf_project_batch(
     _check_order(k, n)
     rows, q = targets.shape[:2]
     cells, rest = q**k, q**(n - k)  # cells of a k-marginal; table cells summed into each
+    flat = targets.reshape(rows, q**n)
+    out = np.full(flat.shape, 1.0 / q**n)  # C order: the axis route scales views of it
     if comb(n, k) * q**n <= dist.INCIDENCE_LIMIT:
-        orders, owners = _ipf_plan(n, q, k)
-        every = orders.ravel()
-        block = max(1, dist.TABLE_LIMIT // every.size)  # rows gathered at once: a table's cells
+        steps, gather, back = _ipf_plan(n, q, k)
+        block = max(1, dist.TABLE_LIMIT // gather.size)  # rows gathered at once: a table's cells
 
-        def marginals(x):  # (rows, C(n, k), q^k)
-            if len(x) > block:
-                return np.concatenate([marginals(x[r:r + block]) for r in range(0, len(x), block)])
-            return x[:, every].reshape(len(x), len(orders), rest, cells).sum(axis=2)
+        def marginals(x):  # (C(n, k), q^k, rows) of x in the last layout
+            if x.shape[1] > block:
+                return np.concatenate([marginals(x[:, r:r + block])
+                                       for r in range(0, x.shape[1], block)], axis=2)
+            picked = x.take(gather, axis=0).reshape(len(steps), rest, cells, x.shape[1])
+            return np.add.reduce(picked, axis=1)
 
-        def sweep(cur, margs):
-            for i, (order, owner) in enumerate(zip(orders, owners)):
-                cm = cur[:, order].reshape(len(cur), rest, cells).sum(axis=1)
-                cur *= _ratio(margs[:, i], cm)[:, owner]
+        def sweep(x, margs):
+            for step, t in zip(steps, margs):
+                x = x.take(step, axis=0)
+                x3 = x.reshape(rest, cells, -1)
+                x3 *= _ratio(t, np.add.reduce(x3, axis=0))
+            return x
+
+        def rows_of(x):
+            return x.take(back, axis=0).T
+
+        x = np.empty((q**n, rows))
+        x[back] = flat.T  # the targets, in the last layout
+        margs = marginals(x)
+        x.fill(1.0 / q**n)  # the uniform start is the same in every layout
+        ax, spread = -1, (0, 1)
     else:
         subsets = list(combinations(range(n), k))
         axes = [tuple(ax + 1 for ax in range(n) if ax not in A) for A in subsets]
         shapes = [(-1,) + tuple(q if ax in A else 1 for ax in range(n)) for A in subsets]
 
-        def marginals(x):
+        def marginals(x):  # (rows, C(n, k), q^k)
             cube = x.reshape((len(x),) + (q,) * n)
             return np.stack([cube.sum(axis=c).reshape(len(x), cells) for c in axes], axis=1)
 
@@ -111,22 +132,28 @@ def ipf_project_batch(
             cube = cur.reshape((len(cur),) + (q,) * n)
             for i, (c, shape) in enumerate(zip(axes, shapes)):
                 cube *= _ratio(margs[:, i], cube.sum(axis=c).reshape(len(cur), cells)).reshape(shape)
+            return cur
 
-    flat = targets.reshape(rows, q**n)
-    out = np.full(flat.shape, 1.0 / q**n)  # C order: the axis route scales views of it
-    cur, margs, live = out, marginals(flat), np.arange(rows)
-    sweeps, residual = 0, 0.0
+        def rows_of(x):
+            return x
+
+        x, margs = out, marginals(flat)
+        ax, spread = 0, (1, 2)
+
+    live, sweeps, residual = np.arange(rows), 0, 0.0
     with np.errstate(invalid="ignore"):  # an overflowed ratio meets a zero cell: inf * 0
         while live.size and sweeps < max_sweeps:
             sweeps += 1
-            sweep(cur, margs)
-            gaps = np.abs(marginals(cur) - margs).max(axis=(1, 2))
+            x = sweep(x, margs)
+            gaps = np.abs(marginals(x) - margs).max(axis=spread)
             done = (gaps < tol) | (sweeps == max_sweeps)
             if done.any():
                 residual = float(gaps[done].max(initial=residual))  # NaN stays NaN
-                if cur is not out:
-                    out[live[done]] = cur[done]
-                live, cur, margs = live[~done], cur[~done], margs[~done]
+                if x is not out:
+                    out[live[done]] = rows_of(x.compress(done, axis=ax))
+                keep = ~done
+                live, x = live[keep], x.compress(keep, axis=ax)
+                margs = margs.compress(keep, axis=ax)
     return out.reshape(targets.shape), sweeps, residual
 
 

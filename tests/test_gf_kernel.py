@@ -93,6 +93,24 @@ def test_batch_rank_matches_matrix_rank(q, shape, seed):
     assert batch_rank(f, mats[:1]).tolist() == expected[:1]  # B = 1
 
 
+@pytest.mark.parametrize("q", [2, 9, 257])
+@pytest.mark.parametrize("r, c", [(1, 40), (2, 64), (4, 33)])
+def test_batch_rank_on_wide_matrices(q, r, c):
+    # the column loop stops once every matrix has full row rank, so the
+    # batch mixes full-rank matrices with ones that reach their rank only
+    # at the last column or never (a zero row, two equal rows)
+    f = FIELDS[q]
+    late = np.zeros((r, c), dtype=np.int64)
+    late[np.arange(r), c - r + np.arange(r)] = 1  # full rank at the last column
+    lone = np.zeros((r, c), dtype=np.int64)
+    lone[0, -1] = 1
+    mats = matrix_batch(q + r * c, f, r, c) + [late.tolist(), lone.tolist()]
+    expected = [matrix_rank(f, m) for m in mats]
+    assert expected[-2:] == [r, 1] and max(expected) == r
+    assert batch_rank(f, mats).tolist() == expected
+    assert [int(batch_rank(f, [m])[0]) for m in mats] == expected
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=seeds, q=st.sampled_from(ORDERS), r=st.integers(1, 6), c=st.integers(1, 6))
 def test_batch_larger_than_one_chunk(seed, q, r, c):

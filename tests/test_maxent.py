@@ -56,6 +56,47 @@ def reference_ipf(targets, k, tol, max_sweeps):
     return cur, sweeps, residual
 
 
+def reference_plan_ipf(targets, k, tol, max_sweeps):
+    """The gather-plan IPF on flat (N, q^n) rows, two gathers per subset
+    step (the cells in the subset's order, then the ratio per cell): the
+    oracle the cell-major kernel must match bit for bit, sweeps and
+    residual included."""
+    n = targets.ndim - 1
+    rows, q = targets.shape[:2]
+    cells, rest = q**k, q**(n - k)
+    table = np.arange(q**n).reshape((q,) * n)
+    orders = np.stack([table.transpose([ax for ax in range(n) if ax not in A] + list(A)).ravel()
+                       for A in combinations(range(n), k)])
+    owners = np.argsort(orders, axis=1) % cells
+    every = orders.ravel()
+    block = max(1, dist.TABLE_LIMIT // every.size)
+
+    def marginals(x):
+        if len(x) > block:
+            return np.concatenate([marginals(x[r:r + block]) for r in range(0, len(x), block)])
+        return x[:, every].reshape(len(x), len(orders), rest, cells).sum(axis=2)
+
+    flat = targets.reshape(rows, q**n)
+    out = np.full(flat.shape, 1.0 / q**n)
+    cur, margs, live = out, marginals(flat), np.arange(rows)
+    sweeps, residual = 0, 0.0
+    with np.errstate(invalid="ignore"):
+        while live.size and sweeps < max_sweeps:
+            sweeps += 1
+            for i, (order, owner) in enumerate(zip(orders, owners)):
+                cm = cur[:, order].reshape(len(cur), rest, cells).sum(axis=1)
+                ratio = np.divide(margs[:, i], cm, out=np.zeros_like(cm), where=cm > 0.0)
+                cur *= ratio[:, owner]
+            gaps = np.abs(marginals(cur) - margs).max(axis=(1, 2))
+            done = (gaps < tol) | (sweeps == max_sweeps)
+            if done.any():
+                residual = float(gaps[done].max(initial=residual))
+                if cur is not out:
+                    out[live[done]] = cur[done]
+                live, cur, margs = live[~done], cur[~done], margs[~done]
+    return out.reshape(targets.shape), sweeps, residual
+
+
 def reference_divergence(targets, others, base):
     """Rowwise D(target || other) through three np.where: the oracle."""
     t = targets.reshape(targets.shape[0], -1)
@@ -114,6 +155,46 @@ def test_masked_division_matches_reference_bit_for_bit(n, q, k, tol, max_sweeps)
     for others in (proj, sparse):
         divs = batch_divergence(targets, others, float(q))
         assert np.array_equal(divs, reference_divergence(targets, others, float(q)))
+
+
+def assert_same_bits(got, want):
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("n, q, k", SHAPES + [(5, 2, 2), (5, 2, 4), (3, 4, 2)])
+@pytest.mark.parametrize("tol, max_sweeps", [(1e-4, 2000), (1e-10, 300), (0.0, 5)],
+                         ids=["loose", "tight", "cap"])
+def test_cell_major_plan_matches_row_major_plan(monkeypatch, n, q, k, tol, max_sweeps):
+    # a gather copies values, each marginal adds its q^(n-k) terms in the
+    # same order and each product takes the same two floats, so the
+    # projections, sweeps and residual are the same bits; at tol 0 no row
+    # converges, so every row stops at max_sweeps
+    targets = sparse_batch(np.random.default_rng(100 * n + 10 * q + k), n, q)
+    got = ipf_project_batch(targets, k, tol, max_sweeps)
+    assert_same_bits(got, reference_plan_ipf(targets, k, tol, max_sweeps))
+    if tol == 0.0:
+        assert got[1] == max_sweeps
+    # one-row blocks in the residual gather, on both sides
+    monkeypatch.setattr(dist, "TABLE_LIMIT", 1)
+    assert_same_bits(ipf_project_batch(targets, k, tol, max_sweeps), got)
+    assert_same_bits(reference_plan_ipf(targets, k, tol, max_sweeps), got)
+
+
+@pytest.mark.parametrize("limit", [dist.INCIDENCE_LIMIT, 0], ids=["plan", "axes"])
+@pytest.mark.parametrize("n, q, k", [(4, 2, 2), (3, 3, 1)])
+def test_nan_row_keeps_the_batch_unconverged(monkeypatch, limit, n, q, k):
+    # a NaN cell makes its row's residual NaN at every sweep: the row runs
+    # to max_sweeps, the batch residual stays NaN (not < tol), and the
+    # other rows leave the batch as they would alone
+    monkeypatch.setattr(dist, "INCIDENCE_LIMIT", limit)
+    targets = sparse_batch(np.random.default_rng(9), n, q, rows=12)
+    targets[4].flat[1] = np.nan
+    proj, sweeps, residual = ipf_project_batch(targets, k, 1e-10, 60)
+    assert math.isnan(residual) and not residual < 1e-10 and sweeps == 60
+    for i, row in enumerate(targets):
+        if i != 4:
+            assert np.array_equal(proj[i], ipf_project_batch(row[np.newaxis], k, 1e-10, 60)[0][0])
 
 
 @pytest.mark.parametrize("limit", [dist.INCIDENCE_LIMIT, 0])  # gather plan, axis sums
