@@ -25,9 +25,9 @@ from .cohesion import (
 )
 from .codes import LinearCode, _k_subset_ranks, code_to_distribution, generator_json, rs_generator
 from .dist import load, to_csv, to_json_dict
-from .errors import ToolError
+from .errors import FieldError, ToolError
 from .explore import DEFAULT_SAMPLES, ScanConfig, emit_scatter, grid_count, local_search_max
-from .gf import emit_tables, field_json, is_prime_power, make_field
+from .gf import MAX_ORDER, emit_tables, field_json, is_prime_power, make_field
 from .matroid import (
     entropy_rank_report,
     find_uniform_representation,
@@ -209,6 +209,8 @@ def run_maximizer(n: int, k: int):
     first n columns (a shortened RS code), so no search runs.
     """
     bound = constant_bound(n, k)
+    if n > MAX_ORDER:  # every q >= n is refused, so search for none
+        raise FieldError(f"field order {n} or more exceeds {MAX_ORDER}")
     field = make_field(*next(pm for pm in map(is_prime_power, count(n)) if pm))
     code = LinearCode.from_rows(field, find_uniform_representation(k, n, field))
     q = code.q

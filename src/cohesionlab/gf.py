@@ -44,17 +44,6 @@ def poly_trim(coeffs) -> tuple:
     return tuple(c)
 
 
-def poly_mul(a, b, p: int) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return poly_trim(out)
-
-
 def poly_mod(a, mod, p: int) -> tuple:
     """Remainder of a divided by a monic polynomial mod, coefficients mod p."""
     a = list(a)
@@ -96,13 +85,6 @@ def smallest_irreducible(p: int, m: int) -> tuple:
     ordering candidates by the base-p value of their lower coefficients.
     One exists for every m >= 1 (Lidl & Niederreiter, Finite Fields, ch. 3)."""
     return next(c for c in _monic(p, m) if is_irreducible(c, p))
-
-
-def _coeffs_to_label(coeffs, p: int) -> int:
-    label = 0
-    for c in reversed(poly_trim(coeffs)):
-        label = label * p + c
-    return label
 
 
 @dataclass(frozen=True)
@@ -179,23 +161,22 @@ class FieldSpec:
         return self.exp[(self.log[a] * e) % (self.order - 1)]
 
 
-def _raw_mul(a: int, b: int, p: int, m: int, modulus) -> int:
-    pa = _coeffs_from_value(a, p, m)
-    pb = _coeffs_from_value(b, p, m)
-    return _coeffs_to_label(poly_mod(poly_mul(pa, pb, p), modulus, p), p)
-
-
 def make_field(p: int, m: int, modulus=None) -> FieldSpec:
     """Construct GF(p^m) with a deterministic modulus and primitive element.
 
     The modulus defaults to the lexicographically smallest monic
     irreducible of degree m; an explicit override is validated the same
-    way. Order is capped at 2^16.
+    way. Order is capped at 2^16, and a larger one is refused before p is
+    tested for primality or p^m is written out.
     """
-    if is_prime_power(p) != (p, 1):
+    if p <= MAX_ORDER and is_prime_power(p) != (p, 1):
         raise FieldError(f"{p} is not prime")
     if m < 1:
         raise FieldError("extension degree must be >= 1")
+    # p^m > MAX_ORDER for every p > MAX_ORDER, and for every m past its bit
+    # length since p >= 2; such p is not trial-divided up to sqrt(p)
+    if p > MAX_ORDER or m > MAX_ORDER.bit_length():
+        raise FieldError(f"field order {p if m == 1 else f'{p}^{m}'} exceeds {MAX_ORDER}")
     q = p**m
     if q > MAX_ORDER:
         raise FieldError(f"field order {q} exceeds {MAX_ORDER}")
@@ -210,13 +191,25 @@ def make_field(p: int, m: int, modulus=None) -> FieldSpec:
 
     # Smallest-labeled element whose powers reach every nonzero element. The
     # multiplicative group of GF(q) is cyclic (Lidl & Niederreiter, ch. 2),
-    # so one exists and the loop always ends on its break.
-    for primitive in range(1, q):
+    # so one exists and the loop always ends on its break. A constant's
+    # order divides p - 1 < q - 1, so for m > 1 the search starts at z.
+    place = p ** np.arange(m, dtype=np.int64)
+    digits = np.arange(q, dtype=np.int64)[:, None] // place % p
+    for primitive in range(1 if m == 1 else p, q):
+        # Multiplication by the candidate g is GF(p)-linear (Lidl &
+        # Niederreiter, ch. 2-3): row j of its matrix holds g * z^j, each row
+        # z times the last, with z^m = -(c_0 + ... + c_{m-1} z^{m-1}).
+        # Entries of digits @ rows stay below m (p-1)^2 <= 4.3e9: int64.
+        rows = [_coeffs_from_value(primitive, p, m)]
+        while len(rows) < m:
+            shifted, top = (0,) + rows[-1][:-1], rows[-1][-1]
+            rows.append(tuple((lo - top * c) % p for lo, c in zip(shifted, modulus)))
+        times = (digits @ np.array(rows, dtype=np.int64) % p @ place).tolist()
         powers = [1]
         x = primitive
         while x != 1:
             powers.append(x)
-            x = _raw_mul(x, primitive, p, m, modulus)
+            x = times[x]
         if len(powers) == q - 1:
             break
 

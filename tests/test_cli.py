@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -471,7 +472,24 @@ REFUSALS = {
     "uniform_rep_k_zero": (
         ["matroid", "uniform-rep", "--k", "0", "--n", "3", "--p", "2", "--m", "1"], None,
         "k and n must be positive"),
+    # refused before p^m (6,021 digits) is written out or p is trial-divided
+    # up to sqrt(p), and before the maximizer's prime-power search
+    "field_order_too_long_to_write": (
+        ["field", "show", "2", "20000"], None,
+        "field order 2^20000 exceeds 65536"),
+    "characteristic_past_largest_field": (
+        ["field", "show", "2305843009213693951", "1"], None,
+        "field order 2305843009213693951 exceeds 65536"),
+    "maximizer_past_largest_field": (
+        ["maximizer", "2305843009213693951", "2"], None,
+        "field order 2305843009213693951 or more exceeds 65536"),
 }
+
+QUICK_REFUSALS = [
+    "field_order_too_long_to_write",
+    "characteristic_past_largest_field",
+    "maximizer_past_largest_field",
+]
 
 
 @pytest.mark.parametrize("name", REFUSALS)
@@ -490,6 +508,13 @@ def test_refusal_is_one_error_line(tmp_path, capsys, name):
     assert captured.out == ""
     assert captured.err == f"error: {fill(message)}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", QUICK_REFUSALS)
+def test_oversized_field_is_refused_quickly(name):
+    start = time.perf_counter()
+    assert main(REFUSALS[name][0]) == 1
+    assert time.perf_counter() - start < 0.5
 
 
 def test_blank_line_between_rows_is_skipped(tmp_path, capsys):

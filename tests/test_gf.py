@@ -5,6 +5,7 @@ import pytest
 
 from cohesionlab.errors import FieldError
 from cohesionlab.gf import (
+    MAX_ORDER,
     add_table,
     batch_rank,
     emit_tables,
@@ -14,7 +15,6 @@ from cohesionlab.gf import (
     make_field,
     matrix_rank,
     mul_table,
-    poly_mul,
     primitive_element,
     smallest_irreducible,
 )
@@ -56,9 +56,22 @@ class TestConstruction:
         with pytest.raises(FieldError, match="^modulus must be monic of degree 2$"):
             make_field(3, 2, modulus=modulus)
 
-    @pytest.mark.parametrize("a, b", [((), (1, 1)), ((1, 2), ())])
-    def test_product_with_an_empty_polynomial_is_empty(self, a, b):
-        assert poly_mul(a, b, 3) == ()
+    @pytest.mark.parametrize("p, m, message", [
+        (4, 1, "4 is not prime"),
+        (2, 17, "field order 131072 exceeds 65536"),
+        (2, 18, "field order 2^18 exceeds 65536"),
+        (2, 20000, "field order 2^20000 exceeds 65536"),
+        (65537, 1, "field order 65537 exceeds 65536"),
+        (2**61 - 1, 1, "field order 2305843009213693951 exceeds 65536"),
+        (2**61 - 1, 3, "field order 2305843009213693951^3 exceeds 65536"),
+        (70000, 1, "field order 70000 exceeds 65536"),
+    ])
+    def test_refusal_message(self, p, m, message):
+        # p above MAX_ORDER is refused without trial division up to sqrt(p),
+        # and from m = 18 on the order is given as p^m, not written out
+        with pytest.raises(FieldError) as refused:
+            make_field(p, m)
+        assert str(refused.value) == message
 
 
 class TestArithmetic:
@@ -233,3 +246,23 @@ def test_construction_is_pinned_up_to_order_1024():
         f = make_field(*powers[q])
         digest.update(repr((q, f.modulus, f.primitive, f.exp)).encode())
     assert digest.hexdigest() == FIELDS_TO_1024_SHA256
+
+
+# the same digest over every non-prime prime power q in (1024, MAX_ORDER]
+# and the prime 65521, computed when each primitive-element candidate's
+# powers were walked through generic polynomial products (26.8 s then)
+FIELDS_ABOVE_1024_SHA256 = "ee42a4285220816c82e2936b1ecd069b84d03daf2f82e7f4d7f2ffa8291cdd03"
+
+
+def test_construction_is_pinned_above_order_1024():
+    fields = sorted(
+        [(p**m, p, m) for p in range(2, 257) if is_prime_power(p) == (p, 1)
+         for m in range(2, 17) if 1024 < p**m <= MAX_ORDER]
+        + [(65521, 65521, 1)]
+    )
+    assert len(fields) == 68
+    digest = hashlib.sha256()
+    for q, p, m in fields:
+        f = make_field(p, m)
+        digest.update(repr((q, f.modulus, f.primitive, f.exp)).encode())
+    assert digest.hexdigest() == FIELDS_ABOVE_1024_SHA256
