@@ -26,7 +26,7 @@ from .cohesion import (
 from .codes import LinearCode, _k_subset_ranks, code_to_distribution, generator_json, rs_generator
 from .dist import load, to_csv, to_json_dict
 from .errors import FieldError, ToolError
-from .explore import DEFAULT_SAMPLES, ScanConfig, emit_scatter, grid_count, local_search_max
+from .explore import DEFAULT_SAMPLES, ScanConfig, _grid_points, emit_scatter, local_search_max
 from .gf import MAX_ORDER, emit_tables, field_json, is_prime_power, make_field
 from .matroid import (
     entropy_rank_report,
@@ -88,7 +88,7 @@ def cmd_maxent(args) -> int:
 
 def cmd_field_show(args) -> int:
     f = make_field(args.p, args.m)
-    _emit(field_json(f), args.json, [emit_tables(f)])
+    _emit(field_json(f), args.json, [] if args.json else [emit_tables(f)])
     return 0
 
 
@@ -154,8 +154,7 @@ def cmd_scan(args) -> int:
         measures=measures,
     )
     if args.mode == "grid":
-        points = grid_count(cfg.resolution, cfg.dims)
-        if points > LARGE_GRID_WARN and not args.allow_large:
+        if (points := _grid_points(cfg)) > LARGE_GRID_WARN and not args.allow_large:
             raise ToolError(
                 f"grid scan has {points} points; rerun with --allow-large to proceed"
             )

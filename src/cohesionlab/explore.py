@@ -1,7 +1,7 @@
 """Simplex scans and local search over discrete distributions.
 
 Three modes: exhaustive enumeration of a discretized simplex
-(compositions of a grid resolution), seeded Dirichlet(1) sampling, and
+(multisets of a grid resolution's cells), seeded Dirichlet(1) sampling, and
 coordinate-pair mass-transfer hill climbing. Measure evaluation is
 vectorized over batches of dense probability vectors so large scans
 stay cheap.
@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, replace
+from itertools import combinations_with_replacement, islice
 from math import comb
 
 import numpy as np
@@ -77,49 +77,58 @@ def parse_measure(measure: str, n: int) -> tuple[str, int]:
 # Point streams
 # ---------------------------------------------------------------------------
 
-def compositions(total: int, parts: int):
-    """All ways of writing `total` as an ordered sum of `parts`
-    nonnegative integers, first part descending."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def grid_count(resolution: int, dims: int) -> int:
     return comb(resolution + dims - 1, dims - 1)
 
 
-def grid_vectors(cfg: ScanConfig):
-    """Stream of dense probability vectors on the grid, deterministic order.
-    The point limit is checked on the call, before any vector is made."""
-    count = grid_count(cfg.resolution, cfg.dims)
-    if count > GRID_POINT_LIMIT:
-        raise ScanError(
-            f"grid has {count} points, above the limit {GRID_POINT_LIMIT}"
-        )
-    r = float(cfg.resolution)
-    points = compositions(cfg.resolution, cfg.dims)
-    return (np.asarray(parts, dtype=float) / r for parts in points)
-
-
-def grid_enumerate(cfg: ScanConfig):
-    """Stream of JointDistributions on the discretized simplex."""
-    for vec in grid_vectors(cfg):
-        yield from_dense(vec, cfg.n, cfg.q)
+def _grid_points(cfg: ScanConfig) -> int:
+    """Points on cfg's grid, refused above GRID_POINT_LIMIT."""
+    if (count := grid_count(cfg.resolution, cfg.dims)) > GRID_POINT_LIMIT:
+        raise ScanError(f"grid has {count} points, above the limit {GRID_POINT_LIMIT}")
+    return count
 
 
 def sample_matrix(rng: np.random.Generator, count: int, dims: int) -> np.ndarray:
     return rng.dirichlet(np.ones(dims), size=count)
 
 
+def _points(cfg: ScanConfig, rows: int):
+    """(B, q^n) float batches of a grid or random scan in scan order, B <= rows
+    and at most dist.TABLE_LIMIT cells each; the mode and the grid limit are
+    checked on the call. Grid points are multisets of `resolution` cells in
+    combinations_with_replacement order (the first cell's mass descends,
+    then the second's); random rows are Dirichlet(1), drawn batch by batch."""
+    if cfg.mode == "random":
+        rows = min(rows, max(1, dist.TABLE_LIMIT // cfg.dims))
+        rng = np.random.default_rng(cfg.seed)
+        return (sample_matrix(rng, min(rows, cfg.sample_count - start), cfg.dims)
+                for start in range(0, cfg.sample_count, rows))
+    if cfg.mode != "grid":
+        raise ScanError("emit_scatter supports grid and random modes")
+    _grid_points(cfg)
+    # a block is rows tuples of `resolution` cells and a (rows, q^n) table
+    rows = min(rows, max(1, dist.TABLE_LIMIT // max(cfg.dims, cfg.resolution)))
+    cells = combinations_with_replacement(range(cfg.dims), cfg.resolution)
+
+    def blocks():
+        while block := list(islice(cells, rows)):
+            counts = np.zeros((len(block), cfg.dims))
+            np.add.at(counts, (np.arange(len(block))[:, np.newaxis], np.array(block)), 1.0)
+            yield counts / cfg.resolution
+
+    return blocks()
+
+
+def grid_enumerate(cfg: ScanConfig):
+    """Stream of JointDistributions on the discretized simplex."""
+    for P in _points(replace(cfg, mode="grid"), dist.TABLE_LIMIT):
+        yield from (from_dense(vec, cfg.n, cfg.q) for vec in P)
+
+
 def random_sample(cfg: ScanConfig):
     """Stream of Dirichlet(1) samples, reproducible from the seed."""
-    rng = np.random.default_rng(cfg.seed)
-    for row in sample_matrix(rng, cfg.sample_count, cfg.dims):
-        yield from_dense(row, cfg.n, cfg.q)
+    for P in _points(replace(cfg, mode="random"), dist.TABLE_LIMIT):
+        yield from (from_dense(row, cfg.n, cfg.q) for row in P)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +313,8 @@ def emit_scatter(cfg: ScanConfig, out_dir, chunk: int = 4096) -> dict:
     """Write scatter + overlay CSVs for a scan; returns a summary.
 
     scatter.csv holds one row per scanned point with the requested
-    measures in base-q units, computed in batches of `chunk` points, and
-    of fewer when `chunk` rows of q^n cells would pass dist.TABLE_LIMIT.
+    measures in base-q units, computed in the batches of _points(cfg,
+    chunk): at most `chunk` points and dist.TABLE_LIMIT cells each.
     Overlay files carry the bound lines: adjacent-order rays
     y = ((n-k)/k) x, the constant ceilings, and the divergence-bound
     diagonal y = x. The summary's ipf_unconverged counts the divergence
@@ -317,16 +326,7 @@ def emit_scatter(cfg: ScanConfig, out_dir, chunk: int = 4096) -> dict:
     if chunk < 1:
         raise ScanError(f"chunk must be >= 1, got {chunk}")
     n, q = cfg.n, cfg.q
-    chunk = min(chunk, max(1, dist.TABLE_LIMIT // cfg.dims))  # a batch is a table built whole
-    if cfg.mode == "grid":
-        vectors = grid_vectors(cfg)
-        batches = map(np.array, iter(lambda: list(islice(vectors, chunk)), []))
-    elif cfg.mode == "random":
-        rng = np.random.default_rng(cfg.seed)
-        batches = (sample_matrix(rng, min(chunk, cfg.sample_count - start), cfg.dims)
-                   for start in range(0, cfg.sample_count, chunk))
-    else:
-        raise ScanError("emit_scatter supports grid and random modes")
+    batches = _points(cfg, chunk)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

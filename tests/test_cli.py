@@ -132,6 +132,13 @@ class TestFieldCommand:
     def test_non_prime_error(self, capsys):
         assert main(["field", "show", "6", "1"]) == 1
 
+    @pytest.mark.parametrize("m", [7, 16])
+    def test_json_past_the_printing_limit(self, capsys, m):
+        # the tables are printed in text output only, up to order 64
+        assert main(["field", "show", "2", str(m), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["p"], payload["m"], len(payload["modulus"])) == (2, m, m + 1)
+
 
 class TestCodeCommand:
     def test_rs_text(self, capsys):
@@ -466,6 +473,14 @@ REFUSALS = {
     "json_without_variables": (
         ["cohesion", "FILE"], '{"n": 0, "q": 2, "atoms": []}',
         "FILE: malformed JSON distribution: need at least one variable"),
+    "tables_past_printing_limit": (
+        ["field", "show", "2", "7"], None,
+        "table printing limited to order <= 64"),
+    # past GRID_POINT_LIMIT no --allow-large can help, so none is offered
+    "grid_past_point_limit": (
+        ["scan", "--n", "3", "--q", "3", "--mode", "grid", "--resolution", "40",
+         "--measures", "c1", "--out", "OUT"], None,
+        "grid has 1654284096099796392 points, above the limit 100000000"),
     "extension_degree_zero": (
         ["field", "show", "2", "0"], None,
         "extension degree must be >= 1"),

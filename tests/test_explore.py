@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -22,7 +24,6 @@ from cohesionlab.explore import (
     ScanConfig,
     batch_cohesion_all,
     batch_subset_entropies,
-    compositions,
     emit_scatter,
     grid_count,
     grid_enumerate,
@@ -94,11 +95,19 @@ class TestConfig:
 
 class TestGrid:
     def test_composition_count(self):
-        for total, parts in [(3, 2), (4, 3), (6, 4)]:
-            got = list(compositions(total, parts))
-            assert len(got) == grid_count(total, parts)
-            assert len(set(got)) == len(got)
-            assert all(sum(c) == total for c in got)
+        # the scan's grid stream: count, uniqueness and sums of the points,
+        # in reverse lexicographic order of their cell counts (the first
+        # cell's mass descends, then the second's)
+        for n, q, res in [(2, 2, 3), (3, 2, 4), (2, 3, 6), (4, 2, 3)]:
+            cfg = ScanConfig(n, q, mode="grid", resolution=res, measures=("c1",))
+            for rows in (1, 5, 4096):
+                P = np.vstack(list(explore._points(cfg, rows)))
+                got = [tuple(c) for c in np.rint(P * res).astype(int).tolist()]
+                assert len(got) == grid_count(res, q**n)
+                assert len(set(got)) == len(got)
+                assert all(sum(c) == res for c in got)
+                assert got == sorted(got, reverse=True)
+                assert np.array_equal(P, np.array(got, dtype=float) / res)
 
     def test_grid_enumerate_valid_distributions(self):
         cfg = ScanConfig(2, 2, mode="grid", resolution=3, measures=("c1",))
@@ -124,6 +133,30 @@ class TestSampling:
         a = next(iter(random_sample(ScanConfig(2, 2, sample_count=1, seed=1, measures=("c1",)))))
         b = next(iter(random_sample(ScanConfig(2, 2, sample_count=1, seed=2, measures=("c1",)))))
         assert a.atoms != b.atoms
+
+    def test_random_sample_draws_the_scan_rows(self, tmp_path, monkeypatch):
+        # random_sample draws one TABLE_LIMIT batch, the scan 7 rows at a time
+        cfg = ScanConfig(3, 2, sample_count=30, seed=5, measures=("c1",))
+        seen, orders = [], explore.cohesion_orders
+
+        def spy(cube, *args):
+            seen.append(cube.reshape(len(cube), -1).copy())
+            return orders(cube, *args)
+
+        monkeypatch.setattr(explore, "cohesion_orders", spy)
+        emit_scatter(cfg, tmp_path, chunk=7)
+        assert [len(P) for P in seen] == [7, 7, 7, 7, 2]
+        assert np.array_equal(np.vstack(seen), np.array([to_dense(d) for d in random_sample(cfg)]))
+
+    def test_random_sample_draws_within_the_table_limit(self):
+        # a whole draw of 20,000 x 1,024 floats would take 164 MB
+        tracemalloc.start()
+        try:
+            next(random_sample(ScanConfig(10, 2, sample_count=20000)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * dist.TABLE_LIMIT * 8
 
     def test_sample_matrix_rows_normalized(self):
         rows = sample_matrix(np.random.default_rng(0), 100, 8)
@@ -505,3 +538,49 @@ class TestScatterRows:
         whole, capped = columns("whole"), columns("capped")
         assert whole.shape == capped.shape
         assert np.abs(whole[:, [0, 1, 3]] - capped[:, [0, 1, 3]]).max() <= 1e-12
+
+    def test_grid_blocks_hold_resolution_cells(self, tmp_path, monkeypatch):
+        # at q^n = 4 a grid point is a tuple of `resolution` = 20 cells, so a
+        # block under a 64-cell limit holds 3 points, not 16
+        cfg = ScanConfig(2, 2, mode="grid", resolution=20, measures=("c1",))
+        emit_scatter(cfg, tmp_path / "whole")
+        calls = spy_columns(monkeypatch)
+        monkeypatch.setattr(dist, "TABLE_LIMIT", 64)
+        emit_scatter(cfg, tmp_path / "capped")
+        assert calls and all(len(out) * max(cfg.dims, cfg.resolution) <= 64 for _, out in calls)
+        assert sum(len(out) for _, out in calls) == grid_count(20, 4)
+        assert ((tmp_path / "whole" / "scatter.csv").read_bytes()
+                == (tmp_path / "capped" / "scatter.csv").read_bytes())
+
+    def test_grid_deeper_than_the_recursion_limit(self, tmp_path):
+        # 1,024 cells, one point each: deeper than Python's recursion limit
+        cfg = ScanConfig(10, 2, mode="grid", resolution=1, measures=("c1",))
+        assert emit_scatter(cfg, tmp_path)["points"] == 1024
+        lines = (tmp_path / "scatter.csv").read_text().splitlines()
+        data = [line for line in lines if not line.startswith("#")]
+        assert data == ["index,c1"] + [f"{i},0" for i in range(1024)]
+
+
+# scatter.csv and the three overlays of each case below, in order, for modes
+# grid and random and chunks 7 and 4096; the digest was taken with a separate,
+# recursive grid generator
+SCAN_PIN_CASES = [(2, 2, 4, ("c1", "d1")), (3, 2, 5, ("c1", "c2", "d1", "d2")),
+                  (3, 3, 3, ("c1", "c2"))]
+SCAN_PIN_SHA256 = "3f9e8af3afa3bb10ceb60e5317d667edcbf215349c0484c37aae8824bad98734"
+SCAN_FILES = ("scatter.csv", "overlay_eq1.csv", "overlay_bounds.csv", "overlay_eq4.csv")
+
+
+def test_scan_files_are_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for n, q, res, measures in SCAN_PIN_CASES:
+        for mode in ("grid", "random"):
+            texts = []
+            for chunk in (7, 4096):
+                cfg = ScanConfig(n, q, mode=mode, resolution=res, sample_count=300, seed=4,
+                                 measures=measures)
+                out = tmp_path / f"{n}{q}{mode}{chunk}"
+                emit_scatter(cfg, out, chunk=chunk)
+                texts.append(b"".join((out / name).read_bytes() for name in SCAN_FILES))
+                digest.update(texts[-1])
+            assert texts[0] == texts[1], (n, q, mode)
+    assert digest.hexdigest() == SCAN_PIN_SHA256
