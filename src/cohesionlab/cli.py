@@ -116,7 +116,7 @@ def cmd_matroid_from_dist(args) -> int:
     payload = matroid_json(view)
     payload["integer_valued"] = report.integer_valued
     payload["max_deviation"] = report.max_deviation
-    rank = view.ranks[-1]  # U_{k,n} has r(E) = k, so only k = r(E) can match
+    rank = int(view.ranks[-1])  # U_{k,n} has r(E) = k, so only k = r(E) can match
     uniform_k = rank if is_isomorphic_uniform(view, rank) else None
     payload["uniform_k"] = uniform_k
     lines = [

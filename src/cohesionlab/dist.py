@@ -197,7 +197,7 @@ def _sparse_entropies(p: JointDistribution, max_order: int) -> list:
     return nodes
 
 
-def entropy_table(p: JointDistribution, base: float | None = None) -> list[float]:
+def entropy_table(p: JointDistribution, base: float | None = None) -> np.ndarray:
     """All 2^n subset entropies, indexed by subset mask (index 0 -> 0.0)."""
     _check_table(1 << p.n, f"entropy table: 2^{p.n}")
     logb = math.log(_base(p.q, base))
@@ -206,7 +206,7 @@ def entropy_table(p: JointDistribution, base: float | None = None) -> list[float
         # every S | T with T above i; the walk computes or fills each of
         # them after S, so a set keeps its own H, or its stop's
         table[mask :: 2 << i] = h
-    return (table / logb).tolist()
+    return table / logb
 
 
 @lru_cache(maxsize=16)
@@ -415,10 +415,12 @@ def from_json(path) -> JointDistribution:
         data = json.loads(Path(path).read_text())
         atoms: dict = {}
         for a in data["atoms"]:  # repeated outcomes add up in file order, as in CSV
-            x = tuple(a["x"])
-            atoms[x] = atoms.get(x, 0.0) + float(a["p"])
-        for field in ("n", "q"):  # as operator.index on JSON values: 1.9, 2.0 and "2" fail
-            if not isinstance(data[field], int):
+            x, mass = tuple(a["x"]), a["p"]
+            if type(mass) not in (int, float) or bool in map(type, x):  # JSON true is an int
+                raise DistributionError(f"atom {a!r}: a boolean symbol or a non-number mass")
+            atoms[x] = atoms.get(x, 0.0) + mass
+        for field in ("n", "q"):  # as operator.index, but 1.9, 2.0, "2" and true fail
+            if type(data[field]) is not int:
                 raise DistributionError(f"field {field!r} = {data[field]!r} is not an integer")
         return JointDistribution(data["n"], data["q"], atoms)
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers DistributionError

@@ -10,6 +10,7 @@ stay cheap.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, islice
@@ -49,6 +50,8 @@ class ScanConfig:
             raise ScanError("resolution must be >= 1")
         if self.sample_count < 1:
             raise ScanError("sample count must be >= 1")
+        if self.seed < 0:
+            raise ScanError("seed must be >= 0")
         if self.mode not in ("grid", "random", "search"):
             raise ScanError(f"unknown scan mode {self.mode!r}")
         _check_table(self.dims, f"dense table: {self.q}^{self.n}", ScanError)
@@ -63,11 +66,11 @@ class ScanConfig:
 
 
 def parse_measure(measure: str, n: int) -> tuple[str, int]:
-    """'c2' -> ('c', 2); cohesion and divergence orders in 1..n-1."""
-    kind, order = measure[:1], measure[1:]
-    if kind not in ("c", "d") or not order.isdigit():
+    """'c2' -> ('c', 2); cohesion and divergence orders in 1..n-1, written
+    in ASCII digits with no leading zero, so each measure has one id."""
+    if not re.fullmatch(r"[cd][1-9][0-9]*", measure):
         raise ScanError(f"unknown measure id {measure!r}")
-    k = int(order)
+    kind, k = measure[0], int(measure[1:])
     if not 1 <= k <= n - 1:
         raise ScanError(f"measure {measure!r}: order outside 1..{n - 1}")
     return kind, k

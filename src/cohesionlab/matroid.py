@@ -1,7 +1,7 @@
 """Matroids from entropy functions, matrices, and uniform-matroid probes.
 
 Set functions are arrays by mask: a matroid is carried as its rank
-function, handed out as a tuple by mask. A distribution whose subset
+function, handed out as a read-only array. A distribution whose subset
 entropies (base q) are integers bounded by cardinality gives one, with
 r(S) = H(S); so do the column ranks of a matrix over a finite field, and
 U_{k,n} is r(S) = min(|S|, k).
@@ -30,28 +30,27 @@ INTEGER_TOL = 1e-6
 NEAR_MATROID_TOL = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankReport:
     """Subset entropies in base q, viewed as a candidate rank function."""
 
     n: int
-    ranks: tuple  # indexed by subset mask
+    ranks: np.ndarray  # float64 indexed by subset mask
     integer_valued: bool
     max_deviation: float
     near_matroidal: bool  # deviation in (INTEGER_TOL, NEAR_MATROID_TOL]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatroidView:
     ground_size: int
-    ranks: tuple  # integer rank indexed by subset mask
+    ranks: np.ndarray  # int64 rank indexed by subset mask
     origin: str  # "entropy" | "vector" | "uniform"
 
     @cached_property
     def independents(self) -> frozenset:
         """Subset masks whose rank equals their cardinality."""
-        independent = np.asarray(self.ranks) == _sizes(self.ground_size)
-        return frozenset(np.flatnonzero(independent).tolist())
+        return frozenset(np.flatnonzero(_sizes(self.ground_size) == self.ranks).tolist())
 
 
 def _sizes(n: int) -> np.ndarray:
@@ -62,13 +61,19 @@ def _sizes(n: int) -> np.ndarray:
     return sizes
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """A table built here, which no caller holds, made read-only."""
+    table.flags.writeable = False
+    return table
+
+
 def _rank_report_from_values(n: int, values) -> RankReport:
     values = np.asarray(values, dtype=float)
     max_dev = float(np.abs(values - np.round(values)).max())
     bounded = bool((values <= _sizes(n) + INTEGER_TOL).all())
     integer_valued = bounded and max_dev <= INTEGER_TOL
     near = bounded and not integer_valued and max_dev <= NEAR_MATROID_TOL
-    return RankReport(n, tuple(values.tolist()), integer_valued, max_dev, near)
+    return RankReport(n, _read_only(values), integer_valued, max_dev, near)
 
 
 def entropy_rank_report(p: JointDistribution) -> RankReport:
@@ -109,7 +114,7 @@ def matroid_from_ranks(r: RankReport, verify: bool = True) -> MatroidView:
     if not r.integer_valued:
         raise MatroidError("not a matroid rank function: entropies are not "
                            f"integer-valued (max deviation {r.max_deviation:.3g})")
-    view = MatroidView(r.n, tuple(np.round(r.ranks).astype(np.int64).tolist()), "entropy")
+    view = MatroidView(r.n, _read_only(np.round(r.ranks).astype(np.int64)), "entropy")
     if verify and not check_axioms(view):
         raise MatroidError("internal consistency failure: derived rank function "
                            "violates the matroid rank axioms")
@@ -141,16 +146,16 @@ def vector_matroid(field: FieldSpec, matrix) -> MatroidView:
     """Matroid of linearly independent column subsets of a matrix."""
     rows = [list(r) for r in matrix]
     ncols = len(rows[0]) if rows else 0
-    return MatroidView(ncols, tuple(_matrix_ranks(field, rows, ncols).tolist()), "vector")
+    return MatroidView(ncols, _read_only(_matrix_ranks(field, rows, ncols)), "vector")
 
 
 def uniform_matroid(k: int, n: int) -> MatroidView:
-    return MatroidView(n, tuple(np.minimum(_sizes(n), k).tolist()), "uniform")
+    return MatroidView(n, _read_only(np.minimum(_sizes(n), k)), "uniform")
 
 
 def is_isomorphic_uniform(m: MatroidView, k: int) -> bool:
     """U_{k,n} is fully symmetric, so equal rank functions decide isomorphism."""
-    return m.ranks == uniform_matroid(k, m.ground_size).ranks
+    return np.array_equal(m.ranks, np.minimum(_sizes(m.ground_size), k))
 
 
 # ---------------------------------------------------------------------------

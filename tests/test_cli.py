@@ -183,6 +183,16 @@ class TestMatroidCommand:
         assert payload["uniform_k"] == 2
         assert payload["integer_valued"]
 
+    def test_uniform_k_is_a_json_integer_or_null(self, tmp_path, capsys, rs_csv,
+                                                 redundant_synergy4):
+        assert main(["matroid", "from-dist", rs_csv, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert '"uniform_k": 2\n' in out and type(json.loads(out)["uniform_k"]) is int
+        path = tmp_path / "peak.csv"
+        to_csv(redundant_synergy4, path)
+        assert main(["matroid", "from-dist", str(path), "--json"]) == 0
+        assert '"uniform_k": null\n' in capsys.readouterr().out
+
     def test_large_declared_alphabet(self, tmp_path, capsys):
         # no table of q cells: a 2^40-letter alphabet with two atoms is quick
         path = tmp_path / "wide.csv"
@@ -473,6 +483,27 @@ REFUSALS = {
     "json_without_variables": (
         ["cohesion", "FILE"], '{"n": 0, "q": 2, "atoms": []}',
         "FILE: malformed JSON distribution: need at least one variable"),
+    "json_n_true": (
+        ["matroid", "from-dist", "FILE"], '{"n": true, "q": 2, "atoms": [{"x": [0], "p": 1.0}]}',
+        "FILE: malformed JSON distribution: field 'n' = True is not an integer"),
+    "negative_seed_random": (
+        ["scan", "--n", "2", "--q", "2", "--mode", "random", "--samples", "3", "--seed", "-1",
+         "--measures", "c1", "--out", "OUT"], None,
+        "seed must be >= 0"),
+    "negative_seed_search": (
+        ["scan", "--n", "2", "--q", "2", "--mode", "search", "--seed", "-1",
+         "--objective", "c1", "--out", "OUT"], None,
+        "seed must be >= 0"),
+    "measure_superscript_order": (
+        ["scan", "--n", "3", "--q", "2", "--measures", "c\u00b2", "--out", "OUT"], None,
+        "unknown measure id 'c\u00b2'"),
+    "measure_leading_zero": (
+        ["scan", "--n", "3", "--q", "2", "--measures", "c1,c01", "--out", "OUT"], None,
+        "unknown measure id 'c01'"),
+    "measure_leading_zeros_divergence": (
+        ["scan", "--n", "9", "--q", "2", "--mode", "grid", "--resolution", "1",
+         "--measures", "d007", "--out", "OUT"], None,
+        "unknown measure id 'd007'"),
     "tables_past_printing_limit": (
         ["field", "show", "2", "7"], None,
         "table printing limited to order <= 64"),

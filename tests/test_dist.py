@@ -137,6 +137,7 @@ class TestEntropy:
 
     def test_entropy_table_matches_direct(self, redundant_synergy4):
         table = entropy_table(redundant_synergy4, 2)
+        assert table.dtype == np.float64 and table.shape == (16,)
         for mask in range(1, 16):
             assert table[mask] == pytest.approx(
                 subset_entropy(redundant_synergy4, mask, 2), abs=1e-12
@@ -250,6 +251,27 @@ class TestIO:
         message = f"{path}: malformed JSON distribution: field '{field}' = {json.loads(value)!r}"
         with pytest.raises(DistributionError, match=f"^{re.escape(message)} is not an integer$"):
             from_json(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"n": true, "q": 2, "atoms": [{"x": [0], "p": 1.0}]}', "field 'n' = True"),
+        ('{"n": 2, "q": 2, "atoms": [{"x": [0, true], "p": 1.0}]}', "'x': [0, True]"),
+        ('{"n": 1, "q": 2, "atoms": [{"x": [0], "p": "0.5"}, {"x": [1], "p": 0.5}]}', "'0.5'"),
+        ('{"n": 1, "q": 2, "atoms": [{"x": [0], "p": "5e-1"}, {"x": [1], "p": 0.5}]}', "'5e-1'"),
+        ('{"n": 1, "q": 2, "atoms": [{"x": [0], "p": true}]}', "'p': True"),
+    ], ids=["n_true", "symbol_true", "mass_string", "mass_exponent_string", "mass_true"])
+    def test_json_booleans_and_string_masses_refused(self, tmp_path, text, message):
+        # JSON true loads as a Python bool, an int subclass, and float() reads
+        # strings; the README asks for integers and numbers
+        path = tmp_path / "d.json"
+        path.write_text(text)
+        with pytest.raises(DistributionError, match=f"^{re.escape(str(path))}: malformed JSON "
+                           f"distribution: .*{re.escape(message)}"):
+            from_json(path)
+
+    def test_json_integer_mass_accepted(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text('{"n": 1, "q": 2, "atoms": [{"x": [1], "p": 1}]}')
+        assert from_json(path).atoms == {(1,): 1.0}
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

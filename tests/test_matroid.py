@@ -176,8 +176,10 @@ class TestRankReport:
         noisy = [ranks - rng.uniform(0.0, eps, ranks.shape) for eps in (1e-8, 1e-4, 0.3)]
         for values in [ranks, above, ranks + rng.uniform(-1e-4, 1e-4, ranks.shape)] + noisy:
             values = values.tolist()
-            rep = matroid._rank_report_from_values(n, values)
-            assert rep == report_by_mask(n, values)
+            rep, want = matroid._rank_report_from_values(n, values), report_by_mask(n, values)
+            assert np.array_equal(rep.ranks, want.ranks)
+            assert (rep.n, rep.integer_valued, rep.max_deviation, rep.near_matroidal) == (
+                want.n, want.integer_valued, want.max_deviation, want.near_matroidal)
             flags.add((rep.integer_valued, rep.near_matroidal))
         assert {(True, False), (False, True), (False, False)} <= flags
 
@@ -206,6 +208,26 @@ class TestMatroidFromRanks:
         view = matroid_from_ranks(entropy_rank_report(redundant_synergy4))
         for k in range(5):
             assert not is_isomorphic_uniform(view, k)
+
+
+@pytest.mark.parametrize("build, dtype", [
+    pytest.param(lambda: entropy_rank_report(JointDistribution.uniform(3, 2)), np.float64,
+                 id="entropy_rank_report"),
+    pytest.param(lambda: code_rank_report(rs_generator(GF4, 2)), np.float64,
+                 id="code_rank_report"),
+    pytest.param(lambda: matroid_from_ranks(entropy_rank_report(JointDistribution.uniform(3, 2))),
+                 np.int64, id="matroid_from_ranks"),
+    pytest.param(lambda: vector_matroid(GF3, [[1, 2, 0], [2, 1, 0]]), np.int64,
+                 id="vector_matroid"),
+    pytest.param(lambda: uniform_matroid(2, 4), np.int64, id="uniform_matroid"),
+])
+def test_rank_tables_are_read_only_arrays(build, dtype):
+    # a report or view keeps the table the kernels computed, by subset mask;
+    # writing into it would leave a cached `independents` stale
+    ranks = build().ranks
+    assert isinstance(ranks, np.ndarray) and ranks.dtype == dtype
+    with pytest.raises(ValueError, match="read-only"):
+        ranks[-1] = 0
 
 
 def augmentation_oracle(n, family):
@@ -275,7 +297,7 @@ class TestAxioms:
         for n in range(9):
             for k in range(n + 1):
                 view = uniform_matroid(k, n)
-                assert view.ranks == tuple(min(m.bit_count(), k) for m in range(1 << n))
+                assert np.array_equal(view.ranks, [min(m.bit_count(), k) for m in range(1 << n)])
                 assert view.independents == independents_by_mask(view.ranks)
                 assert check_axioms(view)
 
